@@ -15,29 +15,8 @@
 #include "core/hios.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace hios::bench {
-
-// --- shared --threads flag ------------------------------------------------
-// Every bench accepts --threads N to size the scheduler thread pool
-// (util::global_pool()); 0 or unset defers to the HIOS_NUM_THREADS
-// environment variable, then hardware_concurrency. Schedules and latencies
-// are bit-identical for every value — only wall-clock scheduling cost
-// changes — so golden baselines are thread-count independent.
-
-inline void add_threads_flag(ArgParser& args) {
-  args.add_flag("threads", "0",
-                "scheduler pool lanes (0 = HIOS_NUM_THREADS, then hardware)");
-}
-
-/// Applies --threads to the global pool and returns the effective lane
-/// count — record it in every machine-readable (--json) blob so perf
-/// numbers are attributable.
-inline int apply_threads_flag(const ArgParser& args) {
-  util::set_global_threads(static_cast<int>(args.get_int("threads")));
-  return util::global_pool().num_threads();
-}
 
 /// Number of random instances per data point. The paper averages 30 runs;
 /// default is 5 to keep `for b in build/bench/*; do $b; done` minutes-scale
@@ -92,7 +71,6 @@ inline std::string mean_std(const RunningStats& s, int precision = 1) {
 struct BenchArgs {
   bool smoke = false;
   bool help = false;           ///< --help was printed; main should return 0
-  int threads = 1;             ///< effective pool lanes (after --threads)
   std::string golden_write;
   std::string golden_check;
   Json golden = Json::object();
@@ -107,7 +85,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& desc
   args.add_flag("smoke", "false", "reduced deterministic sweep (golden/CI regime)")
       .add_flag("golden-write", "", "write the golden JSON baseline to this path")
       .add_flag("golden-check", "", "recompute and bit-compare against this golden");
-  add_threads_flag(args);
   BenchArgs out;
   if (!args.parse(argc, argv)) {
     out.help = true;
@@ -117,7 +94,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& desc
   out.golden_write = args.get("golden-write");
   out.golden_check = args.get("golden-check");
   if (!out.golden_write.empty() || !out.golden_check.empty()) out.smoke = true;
-  out.threads = apply_threads_flag(args);
   return out;
 }
 

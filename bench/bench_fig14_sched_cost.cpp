@@ -85,14 +85,13 @@ Json measure_sched_wallclock(int reps) {
   j["num_ops"] = p.num_ops;
   j["num_gpus"] = config.num_gpus;
   j["seed"] = p.seed;
-  j["threads"] = util::global_pool().num_threads();
   j["scheduling_ms"] = best_ms;
   j["latency_ms"] = latency_ms;
   j["baseline_prerefactor_ms"] = baseline_prerefactor_ms;
   j["speedup_vs_baseline"] = baseline_prerefactor_ms / best_ms;
-  std::printf("HIOS-LP 512 ops / 4 GPUs (%d threads): scheduling %.2f ms "
+  std::printf("HIOS-LP 512 ops / 4 GPUs: scheduling %.2f ms "
               "(pre-refactor baseline %.1f ms, %.1fx), latency %.3f ms\n\n",
-              util::global_pool().num_threads(), best_ms, baseline_prerefactor_ms,
+              best_ms, baseline_prerefactor_ms,
               baseline_prerefactor_ms / best_ms, latency_ms);
   return j;
 }
@@ -109,12 +108,9 @@ int main(int argc, char** argv) {
                 "bound in ms (0 = no check)")
       .add_flag("golden-write", "", "write the virtual-time golden baseline to this path")
       .add_flag("golden-check", "", "bit-compare the virtual-time results against this golden");
-  bench::add_threads_flag(args);
   if (!args.parse(argc, argv)) return 0;
-  const int threads = bench::apply_threads_flag(args);
 
   Json out = Json::object();
-  out["threads"] = threads;
   const std::string golden_write = args.get("golden-write");
   const std::string golden_check = args.get("golden-check");
   const bool smoke =

@@ -17,12 +17,15 @@
 //      throughput, and no request may pay a cold reschedule (plan-pool
 //      misses == 0).
 // Flags: --smoke (fewer requests), --assert (exit 1 when a gate fails),
-//        --json P (write the phase/throughput report as JSON to P).
+//        --json P (write the phase/throughput report as JSON to P),
+//        --threads N (pool lanes for PlanPool::prewarm's concurrent builds;
+//        0 = HIOS_NUM_THREADS, then hardware concurrency).
 #include <chrono>
 #include <fstream>
 
 #include "bench_common.h"
 #include "serve/server.h"
+#include "util/thread_pool.h"
 
 using namespace hios;
 
@@ -312,15 +315,16 @@ int main(int argc, char** argv) {
                  "and degraded-mode recovery");
   args.add_flag("smoke", "false", "fewer requests (CI regime)")
       .add_flag("assert", "false", "exit 1 when an acceptance gate fails")
-      .add_flag("json", "", "write the phase/throughput report as JSON to this path");
-  bench::add_threads_flag(args);
+      .add_flag("json", "", "write the phase/throughput report as JSON to this path")
+      .add_flag("threads", "0",
+                "pool lanes for prewarm builds (0 = HIOS_NUM_THREADS, then hardware)");
   if (!args.parse(argc, argv)) return 0;
   const bool smoke = args.get_bool("smoke");
   const bool enforce = args.get_bool("assert");
-  const int threads = bench::apply_threads_flag(args);
+  util::set_global_threads(static_cast<int>(args.get_int("threads")));
 
   Json doc = Json::object();
-  doc["threads"] = threads;
+  doc["threads"] = util::global_pool().num_threads();
   bool ok = throughput_scaling(smoke ? 64 : 256, enforce);
   ok = cache_cost(enforce) && ok;
   ok = prewarm_cost(enforce, doc) && ok;

@@ -11,7 +11,7 @@
 //             << out.timeline.to_ascii_gantt();
 //
 // Layer map (bottom-up):
-//   util/    logging, RNG, JSON, stats, bitset, CLI args
+//   util/    RNG, JSON, stats, bitset, CLI args, thread pool
 //   graph/   weighted DAG + algorithms (priority indicators, longest path)
 //   ops/     operator taxonomy, shape inference, CPU reference kernels
 //   models/  Inception-v3, NASNet-A, random layered DAGs, toy graphs

@@ -14,55 +14,26 @@ double StageTimeCache::stage_time(const graph::Graph& g,
                                   std::span<const graph::NodeId> stage) const {
   if (stage.size() == 1) {
     const auto v = static_cast<std::size_t>(stage[0]);
-    std::lock_guard<std::mutex> lock(singleton_mu_);
     if (singleton_.size() < g.num_nodes())
       singleton_.resize(g.num_nodes(), std::numeric_limits<double>::quiet_NaN());
     if (std::isnan(singleton_[v])) {
-      // Computed under the lock: a singleton query is one node_weight read,
-      // far cheaper than the lock handoff a two-phase fill would need.
       singleton_[v] = inner_.stage_time(g, stage);
-      ++shards_[0].misses;
+      ++misses_;
     } else {
-      ++shards_[0].hits;
+      ++hits_;
     }
     return singleton_[v];
   }
 
-  Shard& shard = shards_[seq_hash(stage) % kShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.memo.find(stage);  // transparent: no key allocation
-    if (it != shard.memo.end()) {
-      ++shard.hits;
-      return it->second;
-    }
+  const auto it = memo_.find(stage);  // transparent: no key allocation
+  if (it != memo_.end()) {
+    ++hits_;
+    return it->second;
   }
-  // Miss: run the (expensive, pure) inner model outside the lock. A racing
-  // thread may compute the same key concurrently — both arrive at the
-  // identical value, and emplace keeps the first (value-deterministic).
   const double t = inner_.stage_time(g, stage);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.memo.emplace(std::vector<graph::NodeId>(stage.begin(), stage.end()), t);
-  ++shard.misses;
+  memo_.emplace(std::vector<graph::NodeId>(stage.begin(), stage.end()), t);
+  ++misses_;
   return t;
-}
-
-std::size_t StageTimeCache::hits() const {
-  std::size_t total = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += s.hits;
-  }
-  return total;
-}
-
-std::size_t StageTimeCache::misses() const {
-  std::size_t total = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += s.misses;
-  }
-  return total;
 }
 
 }  // namespace hios::cost

@@ -20,20 +20,13 @@
 //     construction so transfer_time / node_time / stage_time_on behave
 //     identically to calling the inner model directly.
 //
-// Thread safety (DESIGN.md §6g): the memo is sharded — the key hash picks
-// one of kShards independently-locked maps, so the pool's workers rarely
-// contend; singleton stages live in a per-node array behind its own lock.
-// Concurrent fills are *value-deterministic*: the inner model is const and
-// pure, so racing threads compute the identical double and first-insert
-// wins without changing any answer. hits()/misses() are informational
-// under concurrency (racing fills may double-count a miss) and are only
-// exact on single-threaded runs.
+// Ownership: an instance is single-owner. It is built inside one
+// schedule() call and queried by that call's thread only, so it holds no
+// locks and hits()/misses() are exact.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -54,29 +47,25 @@ class StageTimeCache final : public CostModel {
     return inner_.demand(g, v);
   }
 
-  std::size_t hits() const;
-  std::size_t misses() const;
+  std::size_t hits() const { return hits_; }
+  std::size_t misses() const { return misses_; }
 
  private:
-  static constexpr std::size_t kShards = 16;
-
-  static std::size_t seq_hash(std::span<const graph::NodeId> v) {
-    std::size_t h = 1469598103934665603ULL;
-    for (graph::NodeId x : v) {
-      h ^= static_cast<std::size_t>(static_cast<uint32_t>(x));
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-
   // Transparent hash/equality: lookups probe with the caller's span and
   // only materialise a key vector on insert (the miss path).
   struct SeqHash {
     using is_transparent = void;
-    std::size_t operator()(const std::vector<graph::NodeId>& v) const {
-      return seq_hash(std::span<const graph::NodeId>(v));
+    std::size_t operator()(std::span<const graph::NodeId> v) const {
+      std::size_t h = 1469598103934665603ULL;
+      for (graph::NodeId x : v) {
+        h ^= static_cast<std::size_t>(static_cast<uint32_t>(x));
+        h *= 1099511628211ULL;
+      }
+      return h;
     }
-    std::size_t operator()(std::span<const graph::NodeId> v) const { return seq_hash(v); }
+    std::size_t operator()(const std::vector<graph::NodeId>& v) const {
+      return (*this)(std::span<const graph::NodeId>(v));
+    }
   };
   struct SeqEq {
     using is_transparent = void;
@@ -86,16 +75,10 @@ class StageTimeCache final : public CostModel {
     }
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::vector<graph::NodeId>, double, SeqHash, SeqEq> memo;
-    std::size_t hits = 0, misses = 0;
-  };
-
   const CostModel& inner_;
-  mutable std::mutex singleton_mu_;
   mutable std::vector<double> singleton_;  ///< node -> t({v}); NaN = unset
-  mutable std::array<Shard, kShards> shards_;
+  mutable std::unordered_map<std::vector<graph::NodeId>, double, SeqHash, SeqEq> memo_;
+  mutable std::size_t hits_ = 0, misses_ = 0;
 };
 
 }  // namespace hios::cost

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "cost/stage_cache.h"
 #include "graph/compiled_graph.h"
@@ -12,7 +11,6 @@
 #include "sched/list_schedule.h"
 #include "sched/parallelize.h"
 #include "util/bitset.h"
-#include "util/thread_pool.h"
 
 namespace hios::sched {
 
@@ -32,26 +30,9 @@ ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::Cost
   // Incremental objective: each path-on-GPU trial only touches the path's
   // nodes, so the list schedule is recomputed from the earliest changed
   // priority rank instead of from scratch (Alg. 1 lines 7-16).
-  //
-  // Parallel trials (DESIGN.md §6g): the m path-on-GPU candidates of one
-  // path are independent given the committed mapping, so they are spread
-  // over the pool with one ListScheduleState replica per static chunk.
-  // Every replica sees the identical committed mapping (commits are applied
-  // to all replicas), the trial latency is a pure function of the mapping
-  // (the incremental recompute is bit-identical to the from-scratch pass),
-  // and the winner is the index-ordered argmin over the latency array —
-  // exactly the sequential loop's strict `<` with its lowest-GPU tie-break.
-  // Output is therefore byte-identical for every thread count.
-  util::ThreadPool& pool = util::global_pool();
-  const int replicas =
-      std::max(1, std::min(pool.num_threads(), m));
-  std::vector<ListScheduleState> trial;
-  trial.reserve(static_cast<std::size_t>(replicas));
-  for (int r = 0; r < replicas; ++r) trial.emplace_back(cg, m, cached);
+  ListScheduleState trial(cg, m, cached);
 
   DynBitset scheduled(n);
-  std::vector<double> trial_latency(static_cast<std::size_t>(m));
-
   while (scheduled.count() < n) {
     auto path = graph::longest_valid_path(g, scheduled, cg.topo_order());
     HIOS_ASSERT(path.has_value(), "unscheduled vertices remain but no path found");
@@ -60,37 +41,22 @@ ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::Cost
       scheduled.set(static_cast<std::size_t>(v));
     }
     // Try the path on every GPU; keep the one minimising the latency of the
-    // list schedule over all mapped operators.
-    if (replicas == 1) {
-      for (int gpu = 0; gpu < m; ++gpu) {
-        for (graph::NodeId v : path->nodes) trial[0].set_gpu(v, gpu);
-        trial_latency[static_cast<std::size_t>(gpu)] = trial[0].latency();
-      }
-    } else {
-      pool.for_chunks(static_cast<std::size_t>(m),
-                      [&](int chunk, std::size_t begin, std::size_t end) {
-                        ListScheduleState& state = trial[static_cast<std::size_t>(chunk)];
-                        for (std::size_t gpu = begin; gpu < end; ++gpu) {
-                          for (graph::NodeId v : path->nodes)
-                            state.set_gpu(v, static_cast<int>(gpu));
-                          trial_latency[gpu] = state.latency();
-                        }
-                      });
-    }
+    // list schedule over all mapped operators (strict `<`: lowest GPU wins
+    // ties).
     int best_gpu = 0;
-    for (int gpu = 1; gpu < m; ++gpu) {
-      if (trial_latency[static_cast<std::size_t>(gpu)] <
-          trial_latency[static_cast<std::size_t>(best_gpu)])
+    double best_latency = 0.0;
+    for (int gpu = 0; gpu < m; ++gpu) {
+      for (graph::NodeId v : path->nodes) trial.set_gpu(v, gpu);
+      const double latency = trial.latency();
+      if (gpu == 0 || latency < best_latency) {
+        best_latency = latency;
         best_gpu = gpu;
+      }
     }
-    // Commit the winner to every replica so all of them keep seeing the
-    // identical committed mapping.
-    for (ListScheduleState& state : trial) {
-      for (graph::NodeId v : path->nodes) state.set_gpu(v, best_gpu);
-    }
+    for (graph::NodeId v : path->nodes) trial.set_gpu(v, best_gpu);
   }
 
-  ListScheduleResult placed = list_schedule(g, trial[0].mapping(), order, m, cached);
+  ListScheduleResult placed = list_schedule(g, trial.mapping(), order, m, cached);
   ScheduleResult result;
   result.algorithm = name();
   if (apply_intra_ && config.apply_intra) {
@@ -104,8 +70,6 @@ ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::Cost
     result.schedule = std::move(placed.schedule);
     result.latency_ms = eval->latency_ms;
   }
-  // Wall clock of the whole call, pool dispatch and worker wait included
-  // (never summed per-worker time) — see ScheduleResult::scheduling_ms.
   result.scheduling_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   return result;

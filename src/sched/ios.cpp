@@ -9,7 +9,6 @@
 #include "graph/compiled_graph.h"
 #include "sched/evaluate.h"
 #include "util/bitset.h"
-#include "util/thread_pool.h"
 
 namespace hios::sched {
 
@@ -21,14 +20,6 @@ struct State {
   int parent = -1;                     ///< index of predecessor state
   std::vector<graph::NodeId> stage;    ///< stage appended to reach this state
   bool expandable = true;              ///< survived beam pruning
-};
-
-/// One DP transition produced by expanding a state: append `stage`, pay
-/// `t_stage`. Buffered per expanded state so the frontier of a bucket can
-/// be generated concurrently and merged serially in rank order.
-struct Candidate {
-  std::vector<graph::NodeId> stage;
-  double t_stage = 0.0;
 };
 
 }  // namespace
@@ -71,74 +62,6 @@ ScheduleResult IosScheduler::schedule(const graph::Graph& g, const cost::CostMod
   const std::size_t frontier_cap = static_cast<std::size_t>(std::max(1, config.ios_frontier_cap));
   const std::size_t beam = static_cast<std::size_t>(std::max(1, config.ios_beam_width));
 
-  // Generates every DP transition out of the state `sid` into `out`, in the
-  // deterministic subset-enumeration order. Reads states[sid].done and the
-  // shared predecessor masks only, and queries the (thread-safe) stage-time
-  // cache — expansions of the same bucket never interact, since appending a
-  // non-empty stage always lands in a strictly larger down-set size, so
-  // they can run concurrently (DESIGN.md §6g).
-  auto expand_state = [&](int sid, std::vector<Candidate>& out) {
-    out.clear();
-    // Ready frontier of this state (all preds done, itself not done).
-    std::vector<graph::NodeId> ready;
-    const DynBitset& done = states[static_cast<std::size_t>(sid)].done;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (done.test(v)) continue;
-      if (done.contains_all(preds[v])) ready.push_back(static_cast<graph::NodeId>(v));
-    }
-    HIOS_ASSERT(!ready.empty(), "non-full state with empty frontier");
-    if (ready.size() > frontier_cap) {
-      std::sort(ready.begin(), ready.end(), [&](graph::NodeId a, graph::NodeId b) {
-        return priority[static_cast<std::size_t>(a)] > priority[static_cast<std::size_t>(b)];
-      });
-      ready.resize(frontier_cap);
-    }
-
-    // Enumerate non-empty subsets of `ready` up to max_stage ops.
-    // Ready ops are pairwise independent by construction, so every
-    // subset is a legal stage.
-    std::vector<graph::NodeId> stage;
-    auto recurse = [&](auto&& self, std::size_t from) -> void {
-      if (!stage.empty()) {
-        out.push_back(Candidate{
-            stage, cached.stage_time(g, std::span<const graph::NodeId>(stage))});
-      }
-      if (stage.size() >= static_cast<std::size_t>(max_stage)) return;
-      for (std::size_t i = from; i < ready.size(); ++i) {
-        stage.push_back(ready[i]);
-        self(self, i + 1);
-        stage.pop_back();
-      }
-    };
-    recurse(recurse, 0);
-  };
-
-  // Applies one buffered transition to the DP table, exactly as the
-  // sequential loop would at this point.
-  auto merge_candidate = [&](int sid, const Candidate& cand) {
-    const double latency = states[static_cast<std::size_t>(sid)].latency + cand.t_stage;
-    DynBitset next_done = states[static_cast<std::size_t>(sid)].done;
-    for (graph::NodeId v : cand.stage) next_done.set(static_cast<std::size_t>(v));
-    auto [it, inserted] = index.emplace(next_done, static_cast<int>(states.size()));
-    if (inserted) {
-      State next;
-      next.done = std::move(next_done);
-      next.latency = latency;
-      next.parent = sid;
-      next.stage = cand.stage;
-      states.push_back(std::move(next));
-      by_size[states.back().done.count()].push_back(it->second);
-    } else if (latency < states[static_cast<std::size_t>(it->second)].latency) {
-      State& existing = states[static_cast<std::size_t>(it->second)];
-      existing.latency = latency;
-      existing.parent = sid;
-      existing.stage = cand.stage;
-    }
-  };
-
-  util::ThreadPool& pool = util::global_pool();
-  std::vector<std::vector<Candidate>> buffers;
-
   for (std::size_t size = 0; size < n; ++size) {
     auto& bucket = by_size[size];
     if (bucket.empty()) continue;
@@ -149,27 +72,61 @@ ScheduleResult IosScheduler::schedule(const graph::Graph& g, const cost::CostMod
     for (std::size_t rank = beam; rank < bucket.size(); ++rank)
       states[static_cast<std::size_t>(bucket[rank])].expandable = false;
 
-    const std::size_t expand = std::min(beam, bucket.size());
-    // Phase A (parallel): generate each expanded state's candidates into a
-    // per-state buffer. Phase B (serial): merge the buffers in rank order,
-    // replaying the sequential emplace/update sequence so state indices —
-    // and hence parents, bucket contents, and the reconstructed schedule —
-    // are assigned identically for every thread count.
-    if (pool.num_threads() == 1 || expand == 1) {
-      if (buffers.empty()) buffers.resize(1);
-      for (std::size_t rank = 0; rank < expand; ++rank) {
-        expand_state(bucket[rank], buffers[0]);
-        for (const Candidate& cand : buffers[0]) merge_candidate(bucket[rank], cand);
+    for (std::size_t rank = 0; rank < std::min(beam, bucket.size()); ++rank) {
+      const int sid = bucket[rank];
+      // Ready frontier of this state (all preds done, itself not done).
+      // `done` is copied: `states` grows, and may reallocate, while the
+      // state expands.
+      std::vector<graph::NodeId> ready;
+      const DynBitset done_copy = states[static_cast<std::size_t>(sid)].done;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (done_copy.test(v)) continue;
+        if (done_copy.contains_all(preds[v])) ready.push_back(static_cast<graph::NodeId>(v));
       }
-    } else {
-      if (buffers.size() < expand) buffers.resize(expand);
-      pool.for_chunks(expand, [&](int /*chunk*/, std::size_t begin, std::size_t end) {
-        for (std::size_t rank = begin; rank < end; ++rank)
-          expand_state(bucket[rank], buffers[rank]);
-      });
-      for (std::size_t rank = 0; rank < expand; ++rank) {
-        for (const Candidate& cand : buffers[rank]) merge_candidate(bucket[rank], cand);
+      HIOS_ASSERT(!ready.empty(), "non-full state with empty frontier");
+      if (ready.size() > frontier_cap) {
+        std::sort(ready.begin(), ready.end(), [&](graph::NodeId a, graph::NodeId b) {
+          return priority[static_cast<std::size_t>(a)] > priority[static_cast<std::size_t>(b)];
+        });
+        ready.resize(frontier_cap);
       }
+      const double base_latency = states[static_cast<std::size_t>(sid)].latency;
+
+      // Enumerate non-empty subsets of `ready` up to max_stage ops.
+      // Ready ops are pairwise independent by construction, so every
+      // subset is a legal stage.
+      std::vector<graph::NodeId> stage;
+      auto recurse = [&](auto&& self, std::size_t from) -> void {
+        if (!stage.empty()) {
+          const double t_stage =
+              cached.stage_time(g, std::span<const graph::NodeId>(stage));
+          const double latency = base_latency + t_stage;
+          DynBitset next_done = done_copy;
+          for (graph::NodeId v : stage) next_done.set(static_cast<std::size_t>(v));
+          auto [it, inserted] = index.emplace(next_done, static_cast<int>(states.size()));
+          if (inserted) {
+            State next;
+            next.done = std::move(next_done);
+            next.latency = latency;
+            next.parent = sid;
+            next.stage = stage;
+            states.push_back(std::move(next));
+            by_size[states.back().done.count()].push_back(it->second);
+          } else if (latency < states[static_cast<std::size_t>(it->second)].latency) {
+            State& existing = states[static_cast<std::size_t>(it->second)];
+            existing.latency = latency;
+            existing.parent = sid;
+            existing.stage = stage;
+          }
+        }
+        if (stage.size() >= static_cast<std::size_t>(max_stage)) return;
+        for (std::size_t i = from; i < ready.size(); ++i) {
+          stage.push_back(ready[i]);
+          self(self, i + 1);
+          stage.pop_back();
+        }
+      };
+      recurse(recurse, 0);
     }
   }
 

@@ -1,62 +1,11 @@
 #include "sched/parallelize.h"
 
 #include <algorithm>
-#include <optional>
-#include <utility>
 
 #include "cost/stage_cache.h"
 #include "sched/core/schedule_state.h"
-#include "util/thread_pool.h"
 
 namespace hios::sched {
-
-namespace {
-
-// One position's merge candidates, probed against the committed state and
-// replayed by the serial acceptance scan below.
-struct Probe {
-  bool skip = true;  ///< op already grouped: no candidates, nothing tried
-  /// (extent, latency) per candidate that passed the window/independence
-  /// checks, in extent order; nullopt latency = execution-order deadlock.
-  std::vector<std::pair<int, std::optional<double>>> cands;
-};
-
-// Replays the sequential extent loop for the op at `v` against `st`,
-// leaving `st` unchanged (apply -> evaluate -> undo per candidate). Pure in
-// the committed state, so concurrent probes on replicas of the same state
-// produce identical results.
-void probe_position(ScheduleState& st, graph::NodeId v, int window, Probe& out) {
-  out.skip = true;
-  out.cands.clear();
-  const int sid = st.stage_of(v);
-  HIOS_ASSERT(sid >= 0, "node " << v << " not found in schedule");
-  if (st.stage_ops(sid).size() > 1) return;  // already grouped
-  out.skip = false;
-  const int gpu = st.gpu_of_stage(sid);
-  const int pos = st.position_of(sid);
-
-  // Window sizes 2..w ops; extend one succeeding stage at a time.
-  std::size_t total_ops = st.stage_ops(sid).size();
-  for (int extent = 1; pos + extent < st.stage_count(gpu); ++extent) {
-    total_ops += st.stage_ops(st.stage_at(gpu, pos + extent)).size();
-    if (total_ops > static_cast<std::size_t>(window)) break;
-    // All stages in the window must be pairwise independent.
-    bool ok = true;
-    for (int a = pos; a < pos + extent && ok; ++a) {
-      for (int b = a + 1; b <= pos + extent && ok; ++b) {
-        ok = st.stages_independent(st.stage_at(gpu, a), st.stage_at(gpu, b));
-      }
-    }
-    if (!ok) break;  // dependency blocks this and any larger window
-
-    st.apply_merge(gpu, pos, extent);
-    const auto cand = st.evaluate_latency();
-    st.undo_merge();
-    out.cands.emplace_back(extent, cand);
-  }
-}
-
-}  // namespace
 
 ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
                               const cost::CostModel& cost, int window) {
@@ -75,73 +24,47 @@ ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
 
   if (window >= 2 && g.num_nodes() >= 2) {
     const std::vector<graph::NodeId>& order = cg.priority_order();
-    const std::size_t last = order.size() - 1;  // positions [0, last)
+    for (std::size_t oi = 0; oi + 1 < order.size(); ++oi) {
+      const graph::NodeId v = order[oi];
+      const int sid = state.stage_of(v);
+      HIOS_ASSERT(sid >= 0, "node " << v << " not found in schedule");
+      if (state.stage_ops(sid).size() > 1) continue;  // already grouped
+      const int gpu = state.gpu_of_stage(sid);
+      const int pos = state.position_of(sid);
 
-    // Speculative chunked greedy (DESIGN.md §6g): probe a block of upcoming
-    // positions concurrently against per-chunk replicas of the committed
-    // state, then scan the block serially in priority order, accepting
-    // merges exactly as the sequential loop would. Accepting a merge makes
-    // the rest of the block stale (its probes saw the pre-merge state), so
-    // the tail is discarded and re-probed from the new committed state —
-    // the accepted decisions, candidates_tried, and final schedule are
-    // byte-identical to the sequential greedy for every thread count.
-    util::ThreadPool& pool = util::global_pool();
-    const int threads = pool.num_threads();
-    std::vector<ScheduleState> extra;  // replicas for chunks 1..threads-1
-    if (threads > 1) {
-      extra.reserve(static_cast<std::size_t>(threads) - 1);
-      for (int r = 1; r < threads; ++r) extra.emplace_back(state);
-    }
-    // Block length: ~2 positions per worker bounds the speculation wasted
-    // when an accepted merge invalidates the tail of the block.
-    const std::size_t block_cap = threads == 1 ? 1 : static_cast<std::size_t>(threads) * 2;
-    std::vector<Probe> probes(block_cap);
-
-    std::size_t oi = 0;
-    while (oi < last) {
-      const std::size_t count = std::min(last - oi, block_cap);
-      if (count == 1) {
-        probe_position(state, order[oi], window, probes[0]);
-      } else {
-        pool.for_chunks(count, [&](int chunk, std::size_t begin, std::size_t end) {
-          ScheduleState& st = chunk == 0 ? state : extra[static_cast<std::size_t>(chunk) - 1];
-          for (std::size_t i = begin; i < end; ++i)
-            probe_position(st, order[oi + i], window, probes[i]);
-        });
-      }
-
-      std::size_t used = count;
-      for (std::size_t i = 0; i < count; ++i) {
-        const Probe& probe = probes[i];
-        if (probe.skip) continue;
-        result.candidates_tried += static_cast<int>(probe.cands.size());
-        double best_latency = latency;
-        int best_extent = 0;
-        for (const auto& [extent, cand] : probe.cands) {
-          if (cand.has_value() && *cand < best_latency) {
-            best_latency = *cand;
-            best_extent = extent;
+      double best_latency = latency;
+      int best_extent = 0;  // how many succeeding stages to merge in
+      // Window sizes 2..w ops; extend one succeeding stage at a time.
+      std::size_t total_ops = state.stage_ops(sid).size();
+      for (int extent = 1; pos + extent < state.stage_count(gpu); ++extent) {
+        total_ops += state.stage_ops(state.stage_at(gpu, pos + extent)).size();
+        if (total_ops > static_cast<std::size_t>(window)) break;
+        // All stages in the window must be pairwise independent.
+        bool ok = true;
+        for (int a = pos; a < pos + extent && ok; ++a) {
+          for (int b = a + 1; b <= pos + extent && ok; ++b) {
+            ok = state.stages_independent(state.stage_at(gpu, a), state.stage_at(gpu, b));
           }
         }
-        if (best_extent == 0) continue;
+        if (!ok) break;  // dependency blocks this and any larger window
+        ++result.candidates_tried;
 
-        // Commit to the main state and every replica so the next block's
-        // probes all see the identical committed mapping.
-        const graph::NodeId v = order[oi + i];
-        const int sid = state.stage_of(v);
-        state.apply_merge(state.gpu_of_stage(sid), state.position_of(sid), best_extent);
-        state.commit_merge();
-        for (ScheduleState& st : extra) {
-          const int rsid = st.stage_of(v);
-          st.apply_merge(st.gpu_of_stage(rsid), st.position_of(rsid), best_extent);
-          st.commit_merge();
+        state.apply_merge(gpu, pos, extent);
+        const auto cand = state.evaluate_latency();
+        state.undo_merge();
+        if (!cand.has_value()) continue;  // execution-order deadlock
+        if (*cand < best_latency) {
+          best_latency = *cand;
+          best_extent = extent;
         }
+      }
+
+      if (best_extent > 0) {
+        state.apply_merge(gpu, pos, best_extent);
+        state.commit_merge();
         latency = best_latency;
         ++result.merges_accepted;
-        used = i + 1;  // discard the stale tail of the block
-        break;
       }
-      oi += used;
     }
   }
 

@@ -29,6 +29,8 @@ struct SchedulerConfig {
   int ios_max_stage_ops = 3;  ///< max ops per stage candidate
   int ios_frontier_cap = 10;  ///< ready-set truncation (by priority)
   int ios_beam_width = 24;    ///< states kept per down-set size
+
+  bool operator==(const SchedulerConfig&) const = default;
 };
 
 /// Output of one scheduling run.
@@ -36,13 +38,10 @@ struct ScheduleResult {
   Schedule schedule;
   double latency_ms = 0.0;     ///< evaluated latency under the cost model
   /// Wall-clock time of the whole schedule() call, measured on the calling
-  /// thread from entry to return. When the scheduler fans its search out on
-  /// util::global_pool() this *includes* pool dispatch and the caller's
-  /// wait for workers — it is elapsed time, never per-worker CPU time
-  /// summed, so an 8-thread run reports less than a 1-thread run for the
-  /// same search, not 8x the CPU. Schedules and latency_ms are bit-
-  /// identical for every thread count; scheduling_ms is the only field
-  /// that varies.
+  /// thread from entry to return. The search runs serially on that thread,
+  /// so no pool dispatch or worker wait is in it. Schedules and latency_ms
+  /// are bit-identical for every pool lane count; scheduling_ms is the only
+  /// field that varies.
   double scheduling_ms = 0.0;
   std::string algorithm;
 };

@@ -49,10 +49,10 @@ class PlanPool {
   /// Ensures warm plans for `mask` and every single-GPU-down subset of it
   /// (skipping subsets with no survivor). The masks are distinct cache
   /// keys, so the cold builds run concurrently on the shared thread pool
-  /// (util::global_pool()); each build's internal search parallelism nests
-  /// on the same pool. Returns how many cold builds this call performed
-  /// (0 = everything was already warm; a build coalesced with another
-  /// caller's in-flight build does not count).
+  /// (util::global_pool()), one serial scheduler pass per mask. Returns
+  /// how many cold builds this call performed (0 = everything was already
+  /// warm; a build coalesced with another caller's in-flight build does not
+  /// count).
   std::size_t prewarm(const ops::Model& model, uint32_t mask, uint64_t generation);
 
   std::size_t hits() const;

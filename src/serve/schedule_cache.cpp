@@ -60,8 +60,7 @@ std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
   // overload and an explicit all-up mask share one entry.
   if (mask == width_mask) mask = kFullMask;
 
-  const Key key{model.fingerprint(), config.num_gpus, config.window,
-                mask, topo.generation, algorithm};
+  const Key key{model.fingerprint(), config, mask, topo.generation, algorithm};
 
   std::promise<std::shared_ptr<const CachedPlan>> promise;
   {

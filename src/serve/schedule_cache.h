@@ -3,12 +3,12 @@
 // Scheduling a model is the expensive part of serving it cold: profiling
 // plus a HIOS-LP pass costs ~14 ms on a 512-op DAG (DESIGN.md §6d) — far
 // more than admitting a request. Schedules depend only on (model structure,
-// GPU count, algorithm, merge window) under a fixed platform *topology*, so
-// the cache keys on exactly that tuple (model structure via
-// ops::Model::fingerprint) plus a TopologyVersion, and a warm request costs
-// one hash lookup. Entries are immutable shared_ptrs: a cached plan can be
-// executed concurrently by every stream slot while new models are being
-// profiled.
+// algorithm, SchedulerConfig) under a fixed platform *topology*, so the
+// cache keys on exactly that tuple (model structure via
+// ops::Model::fingerprint, every SchedulerConfig field) plus a
+// TopologyVersion, and a warm request costs one hash lookup. Entries are
+// immutable shared_ptrs: a cached plan can be executed concurrently by
+// every stream slot while new models are being profiled.
 //
 // Topology versioning (DESIGN.md §6f): without it the cache has a latent
 // staleness bug the moment health state exists — a plan scheduled across 4
@@ -80,14 +80,13 @@ enum class CacheOutcome {
   kCoalesced,  ///< waited on a concurrent call's in-flight build
 };
 
-/// Thread-safe (model, nGPU, algorithm, window, topology) -> plan cache.
+/// Thread-safe (model, algorithm, SchedulerConfig, topology) -> plan cache.
 class ScheduleCache {
  public:
   explicit ScheduleCache(cost::Platform platform) : platform_(std::move(platform)) {}
 
-  /// Returns the plan for (model.fingerprint(), config.num_gpus, algorithm,
-  /// config.window) on the full topology. Equivalent to passing a default
-  /// TopologyVersion below.
+  /// Returns the plan for (model.fingerprint(), algorithm, config) on the
+  /// full topology. Equivalent to passing a default TopologyVersion below.
   std::shared_ptr<const CachedPlan> get(const ops::Model& model,
                                         const std::string& algorithm,
                                         const sched::SchedulerConfig& config,
@@ -126,8 +125,7 @@ class ScheduleCache {
  private:
   struct Key {
     uint64_t model_fp = 0;
-    int num_gpus = 0;
-    int window = 0;
+    sched::SchedulerConfig config;  ///< every field: each one can change a plan
     uint32_t topo_mask = kFullMask;
     uint64_t topo_generation = 0;
     std::string algorithm;
@@ -135,13 +133,23 @@ class ScheduleCache {
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
+      // A new SchedulerConfig field must be mixed in below (equality picks
+      // it up through the defaulted operator==); update the size when done.
+      static_assert(sizeof(sched::SchedulerConfig) == 7 * sizeof(int),
+                    "SchedulerConfig changed: hash the new field in KeyHash");
+      const sched::SchedulerConfig& c = k.config;
       std::size_t h = k.model_fp;
-      h = h * 1099511628211ULL ^ static_cast<std::size_t>(k.num_gpus);
-      h = h * 1099511628211ULL ^ static_cast<std::size_t>(k.window);
-      h = h * 1099511628211ULL ^ static_cast<std::size_t>(k.topo_mask);
-      h = h * 1099511628211ULL ^ static_cast<std::size_t>(k.topo_generation);
-      h = h * 1099511628211ULL ^ std::hash<std::string>{}(k.algorithm);
-      return h;
+      auto mix = [&h](std::size_t v) { h = h * 1099511628211ULL ^ v; };
+      mix(c.num_gpus);
+      mix(c.window);
+      mix(c.max_streams);
+      mix(c.apply_intra);
+      mix(c.ios_max_stage_ops);
+      mix(c.ios_frontier_cap);
+      mix(c.ios_beam_width);
+      mix(k.topo_mask);
+      mix(k.topo_generation);
+      return h * 1099511628211ULL ^ std::hash<std::string>{}(k.algorithm);
     }
   };
 

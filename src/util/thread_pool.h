@@ -1,29 +1,26 @@
-// Deterministic shared thread pool for the schedulers' search loops.
+// Deterministic shared thread pool for coarse, independent work units.
 //
-// The pool's contract is stricter than "run things concurrently": every
-// algorithm built on it must produce *byte-identical* output for any thread
-// count, including 1 (DESIGN.md §6g). Three rules make that composable:
+// Its one production caller is PlanPool::prewarm, which builds the plans
+// for distinct survivor masks concurrently. The schedulers' search loops
+// run serially: their per-trial work is too fine-grained to beat the
+// dispatch cost (DESIGN.md §6g). Callers must keep output byte-identical
+// for any thread count, including 1; two rules make that composable:
 //
 //   * Static chunking. for_chunks() splits [0, n) into at most
 //     num_threads() contiguous chunks, fixed by arithmetic on (n, threads)
 //     alone — never by which worker happens to be free. Chunk index c is
-//     stable, so per-chunk scratch (scheduler state replicas) binds to c,
-//     not to a thread id.
-//   * Index-ordered reduction. parallel_reduce()/parallel_argmin() combine
-//     per-chunk partials on the calling thread in ascending chunk order;
-//     argmin breaks ties towards the lowest index — exactly what the
-//     sequential left-to-right loop with a strict `<` does.
+//     stable, so per-chunk scratch binds to c, not to a thread id.
 //   * Pure work items. Callers must make fn(i) a pure function of i and
-//     of state committed before the call; shared caches they touch
-//     (cost::StageTimeCache) must be value-deterministic: racing fills may
-//     reorder, but every fill computes the identical value.
+//     of state committed before the call; shared state they touch must be
+//     value-deterministic (e.g. the single-flight ScheduleCache: racing
+//     lookups of one key build it once and all see the same plan).
 //
 // Blocking model: the calling thread executes chunk 0 itself, then helps
 // drain the shared task queue before sleeping, so nested parallel sections
-// (a pool task that itself calls for_chunks, e.g. PlanPool::prewarm ->
-// scheduler -> trial loop) cannot deadlock: a waiting thread only sleeps
-// when the queue is empty, which means its remaining chunks are being
-// executed by live workers.
+// (a pool task that itself calls for_chunks, e.g. a PlanPool::prewarm
+// called from inside another pool task) cannot deadlock: a waiting thread
+// only sleeps when the queue is empty, which means its remaining chunks
+// are being executed by live workers.
 //
 // num_threads() resolution: explicit constructor argument > 0, else the
 // HIOS_NUM_THREADS environment variable, else hardware_concurrency(); the
@@ -32,6 +29,7 @@
 // construction.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -71,60 +69,13 @@ class ThreadPool {
     });
   }
 
-  /// Deterministic map-reduce: partials combined in ascending chunk order
-  /// on the calling thread. `map(i)` must be pure; `combine(acc, value)`
-  /// is folded left-to-right exactly like the sequential loop
-  ///   for (i : [0, n)) acc = combine(acc, map(i));
-  /// would under a combine that is associative across the chunk cuts.
-  template <typename T, typename MapFn, typename CombineFn>
-  T parallel_reduce(std::size_t n, T identity, MapFn&& map, CombineFn&& combine) {
-    if (n == 0) return identity;
-    const int chunks = num_chunks(n);
-    std::vector<T> partial(static_cast<std::size_t>(chunks), identity);
-    for_chunks(n, [&](int c, std::size_t begin, std::size_t end) {
-      T acc = identity;
-      for (std::size_t i = begin; i < end; ++i) acc = combine(acc, map(i));
-      partial[static_cast<std::size_t>(c)] = acc;
-    });
-    T acc = identity;
-    for (const T& p : partial) acc = combine(acc, p);
-    return acc;
-  }
-
-  /// Index of the minimal key over [0, n); ties break towards the lowest
-  /// index (the sequential `key(i) < best` left-to-right argmin). n must
-  /// be >= 1. `key(i)` must be pure.
-  template <typename KeyFn>
-  std::size_t parallel_argmin(std::size_t n, KeyFn&& key) {
-    struct Best {
-      std::size_t index;
-      double key;
-    };
-    const int chunks = num_chunks(n);
-    std::vector<Best> partial(static_cast<std::size_t>(chunks));
-    for_chunks(n, [&](int c, std::size_t begin, std::size_t end) {
-      Best best{begin, key(begin)};
-      for (std::size_t i = begin + 1; i < end; ++i) {
-        const double k = key(i);
-        if (k < best.key) best = Best{i, k};
-      }
-      partial[static_cast<std::size_t>(c)] = best;
-    });
-    Best best = partial[0];
-    for (int c = 1; c < chunks; ++c) {
-      if (partial[static_cast<std::size_t>(c)].key < best.key)
-        best = partial[static_cast<std::size_t>(c)];
-    }
-    return best.index;
-  }
-
+ private:
   /// Number of chunks for_chunks(n, ...) will use.
   int num_chunks(std::size_t n) const {
     return static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(num_threads_), n));
   }
 
- private:
   void worker_loop();
   /// Pops and runs queued tasks until the queue is empty (help protocol).
   void drain_queue();
@@ -137,7 +88,7 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// The process-wide pool the schedulers and the serving layer share.
+/// The process-wide pool PlanPool::prewarm fans out on.
 /// Lazily built on first use from HIOS_NUM_THREADS / hardware_concurrency.
 ThreadPool& global_pool();
 

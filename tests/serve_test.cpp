@@ -98,6 +98,36 @@ TEST(ScheduleCache, KeyDistinguishesConfigAndStructure) {
   EXPECT_EQ(cache.size(), 3u);
 }
 
+// Every SchedulerConfig field is part of the key: "hios-lp" without Alg. 2
+// must not be served the cached Alg. 2 plan.
+TEST(ScheduleCache, KeyCoversEverySchedulerConfigField) {
+  ScheduleCache cache(cost::make_a40_server(1));
+  const ops::Model m = tiny_model();
+  sched::SchedulerConfig intra, no_intra;
+  intra.num_gpus = no_intra.num_gpus = 1;
+  no_intra.apply_intra = false;
+  bool hit = true;
+  auto merged = cache.get(m, "hios-lp", intra, &hit);
+  EXPECT_FALSE(hit);
+  auto unmerged = cache.get(m, "hios-lp", no_intra, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_NE(merged->schedule.to_json(merged->profiled.graph).dump(),
+            unmerged->schedule.to_json(unmerged->profiled.graph).dump());
+
+  // The remaining fields each open their own entry too.
+  sched::SchedulerConfig streams = intra, stage_ops = intra, frontier = intra, beam = intra;
+  streams.max_streams = 4;
+  stage_ops.ios_max_stage_ops = 2;
+  frontier.ios_frontier_cap = 5;
+  beam.ios_beam_width = 12;
+  for (const sched::SchedulerConfig& c : {streams, stage_ops, frontier, beam}) {
+    cache.get(m, "hios-lp", c, &hit);
+    EXPECT_FALSE(hit);
+  }
+  EXPECT_EQ(cache.size(), 6u);
+}
+
 TEST(ScheduleCache, TopologyMaskKeysSurvivorPlans) {
   ScheduleCache cache(cost::make_a40_server(4));
   const ops::Model m = tiny_model();

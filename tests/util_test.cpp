@@ -1,4 +1,4 @@
-// Unit tests for util: rng, stats, bitset, args, table, logging, errors.
+// Unit tests for util: rng, stats, bitset, args, table, errors.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -6,7 +6,6 @@
 #include "util/args.h"
 #include "util/bitset.h"
 #include "util/error.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -310,22 +309,6 @@ TEST(Table, RowWidthMismatchThrows) {
 TEST(Table, NumFormatting) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
-}
-
-// -------------------------------------------------------------- logging
-
-TEST(Logging, LevelRoundTrip) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  HIOS_INFO << "suppressed";  // must not crash
-  set_log_level(before);
-}
-
-TEST(Logging, ParseNames) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("nonsense"), LogLevel::kWarn);
 }
 
 }  // namespace
