@@ -9,7 +9,9 @@
 // Besides the sweep, the harness measures the raw scheduling wall-clock of
 // HIOS-LP (with the Alg. 2 parallelize pass) on a 512-op / 4-GPU random
 // DAG — the regression benchmark for the incremental scheduling core
-// (sched/core/, see DESIGN.md §6d). Flags:
+// (sched/core/, see DESIGN.md §6d) — together with Alg. 2's candidate
+// count and stage timings on that DAG, which unlike the wall clock are the
+// same on every machine. Flags:
 //   --json <path>       write all results as machine-readable JSON
 //   --smoke             skip the image-size sweeps (CI regression mode)
 //   --assert-max-ms <b> exit 1 when the 512-op wall-clock exceeds b ms
@@ -75,6 +77,12 @@ Json measure_sched_wallclock(int reps) {
     latency_ms = r.latency_ms;
   }
 
+  // Alg. 2's deterministic work counters on the same DAG: HIOS-LP is
+  // inter-lp followed by parallelize.
+  const auto placed = sched::make_scheduler("inter-lp")->schedule(g, cost, config);
+  const sched::ParallelizeResult alg2 = sched::parallelize(
+      g, placed.schedule, cost, std::min(config.window, config.max_streams));
+
   // Wall-clock of the same run before the incremental scheduling core
   // (PR 2), measured on the reference machine: the acceptance bar is a
   // >= 5x reduction, recorded alongside every measurement.
@@ -89,10 +97,13 @@ Json measure_sched_wallclock(int reps) {
   j["latency_ms"] = latency_ms;
   j["baseline_prerefactor_ms"] = baseline_prerefactor_ms;
   j["speedup_vs_baseline"] = baseline_prerefactor_ms / best_ms;
+  j["alg2_candidates"] = alg2.candidates_tried;
+  j["alg2_stages_retimed"] = alg2.stages_retimed;
   std::printf("HIOS-LP 512 ops / 4 GPUs: scheduling %.2f ms "
-              "(pre-refactor baseline %.1f ms, %.1fx), latency %.3f ms\n\n",
-              best_ms, baseline_prerefactor_ms,
-              baseline_prerefactor_ms / best_ms, latency_ms);
+              "(pre-refactor baseline %.1f ms, %.1fx), latency %.3f ms\n"
+              "Alg. 2: %d candidates, %zu stage timings\n\n",
+              best_ms, baseline_prerefactor_ms, baseline_prerefactor_ms / best_ms, latency_ms,
+              alg2.candidates_tried, alg2.stages_retimed);
   return j;
 }
 

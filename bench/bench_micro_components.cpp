@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/hios.h"
+#include "cost/stage_cache.h"
+#include "sched/core/schedule_state.h"
 
 using namespace hios;
 
@@ -70,6 +72,37 @@ void BM_EvaluateSchedule(benchmark::State& state) {
     benchmark::DoNotOptimize(sched::evaluate_schedule(g, r.schedule, cost));
 }
 BENCHMARK(BM_EvaluateSchedule)->Arg(100)->Arg(400);
+
+// One Alg. 2 candidate as parallelize() scores it, on a 1024-op inter-lp
+// schedule: apply -> score -> undo, cycling over every independent pair of
+// adjacent stages. `full` scores with the Kahn pass over all stages,
+// `delta` with ScheduleState::improves_on against the committed latency.
+void BM_MergeCandidate(benchmark::State& state, bool delta) {
+  const graph::Graph g = test_graph(1024);
+  const cost::TableCostModel cost;
+  sched::SchedulerConfig config;
+  config.num_gpus = 4;
+  const auto r = sched::make_scheduler("inter-lp")->schedule(g, cost, config);
+  const graph::CompiledGraph cg(g);
+  const cost::StageTimeCache cached(cost);
+  sched::ScheduleState s(cg, cached);
+  s.load(r.schedule);
+  const double latency = *s.evaluate_latency();
+  std::vector<std::pair<int, int>> windows;  // (gpu, pos)
+  for (int gpu = 0; gpu < config.num_gpus; ++gpu)
+    for (int pos = 0; pos + 1 < s.stage_count(gpu); ++pos)
+      if (s.stages_independent(s.stage_at(gpu, pos), s.stage_at(gpu, pos + 1)))
+        windows.emplace_back(gpu, pos);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const auto [gpu, pos] = windows[k++ % windows.size()];
+    s.apply_merge(gpu, pos, 1);
+    benchmark::DoNotOptimize(delta ? s.improves_on(latency) : s.evaluate_latency());
+    s.undo_merge();
+  }
+}
+BENCHMARK_CAPTURE(BM_MergeCandidate, full, false);
+BENCHMARK_CAPTURE(BM_MergeCandidate, delta, true);
 
 void BM_Scheduler(benchmark::State& state, const char* name) {
   const graph::Graph g = test_graph(100);

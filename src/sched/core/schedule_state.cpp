@@ -1,6 +1,8 @@
 #include "sched/core/schedule_state.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <unordered_set>
 
 #include "graph/algorithms.h"
@@ -22,6 +24,9 @@ void ScheduleState::load(const Schedule& schedule) {
   gpu_list_.assign(static_cast<std::size_t>(num_gpus_), {});
   node_stage_.assign(n, -1);
   pending_.reset();
+  committed_ = false;
+  stages_retimed_ = 0;
+  scored_ = {};
 
   for (int gpu = 0; gpu < num_gpus_; ++gpu) {
     const auto& stages = schedule.gpus[static_cast<std::size_t>(gpu)];
@@ -49,7 +54,6 @@ void ScheduleState::load(const Schedule& schedule) {
   start_.assign(cap, 0.0);
   finish_.assign(cap, 0.0);
   in_deg_.assign(cap, 0);
-  next_on_gpu_.assign(cap, -1);
   mark_.assign(cap, 0);
   mark_gen_ = 0;
   frontier_.clear();
@@ -158,6 +162,22 @@ void ScheduleState::undo_merge() {
 
 void ScheduleState::commit_merge() {
   HIOS_CHECK(pending_.has_value(), "commit_merge: no pending merge");
+  if (committed_) {
+    // Carry the committed timing over: reuse the propagation improves_on()
+    // just completed for this merge, else run it without a bound.
+    std::optional<double> latency = scored_.latency;
+    if (scored_.rep != pending_->rep || scored_.extent != pending_->removed.size() ||
+        scored_.gen != mark_gen_) {
+      latency = propagate(std::numeric_limits<double>::infinity());
+    }
+    committed_ = latency.has_value();
+    if (committed_) {
+      for (std::size_t s = 0; s < mark_.size(); ++s)
+        if (mark_[s] == mark_gen_) committed_finish_[s] = finish_[s];
+      committed_latency_ = *latency;
+      rerank_merge_window();
+    }
+  }
   const PendingMerge p = std::move(*pending_);
   pending_.reset();
 
@@ -188,42 +208,35 @@ void ScheduleState::commit_merge() {
   reach_[static_cast<std::size_t>(p.rep)] = std::move(U);
 }
 
-bool ScheduleState::run_eval() {
+template <typename F>
+void ScheduleState::for_each_successor(int sid, F&& f) const {
   const graph::Graph& g = cg_.graph();
-
-  // Per-GPU chains: the next alive stage on the same GPU.
-  for (const auto& list : gpu_list_) {
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      next_on_gpu_[static_cast<std::size_t>(list[i])] =
-          i + 1 < list.size() ? list[i + 1] : -1;
+  const std::size_t s = static_cast<std::size_t>(sid);
+  const auto& list = gpu_list_[static_cast<std::size_t>(stage_gpu_[s])];
+  const std::size_t next = static_cast<std::size_t>(pos_of_[s]) + 1;
+  if (next < list.size()) f(list[next], 0.0);
+  for (graph::NodeId v : ops_[s]) {
+    for (graph::EdgeId e : cg_.out_edges(v)) {
+      const int sv = node_stage_[static_cast<std::size_t>(g.edge(e).dst)];
+      if (sv >= 0 && sv != sid) f(sv, edge_transfer_[static_cast<std::size_t>(e)]);
     }
   }
+}
 
-  // In-degrees: one for the chain predecessor plus one per distinct data
-  // predecessor stage (deduped with a generation-marked scratch array).
-  // The chain and a data edge between the same stage pair both count and
-  // both get decremented below, so the bookkeeping stays consistent; the
-  // resulting ready times equal the reference evaluator's because the
-  // co-located transfer is 0.
+bool ScheduleState::run_eval() {
+  // Kahn pass over the stage DAG. In-degrees count chain and data edges
+  // with repeats, exactly as the pops below decrement them; a chain edge
+  // adds 0 transfer, like the co-located data edges of the reference.
+  ++mark_gen_;  // finish_ is rewritten: no propagated finish survives
   for (const auto& list : gpu_list_) {
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      const int sid = list[i];
-      int deg = i > 0 ? 1 : 0;
-      ++mark_gen_;
-      for (graph::NodeId v : ops_[static_cast<std::size_t>(sid)]) {
-        for (graph::EdgeId e : cg_.in_edges(v)) {
-          const int su = node_stage_[static_cast<std::size_t>(g.edge(e).src)];
-          if (su < 0 || su == sid) continue;
-          if (mark_[static_cast<std::size_t>(su)] != mark_gen_) {
-            mark_[static_cast<std::size_t>(su)] = mark_gen_;
-            ++deg;
-          }
-        }
-      }
-      in_deg_[static_cast<std::size_t>(sid)] = deg;
+    for (int sid : list) {
+      in_deg_[static_cast<std::size_t>(sid)] = 0;
       ready_[static_cast<std::size_t>(sid)] = 0.0;
     }
   }
+  for (const auto& list : gpu_list_)
+    for (int sid : list)
+      for_each_successor(sid, [&](int t, double) { ++in_deg_[static_cast<std::size_t>(t)]; });
 
   frontier_.clear();
   for (const auto& list : gpu_list_)
@@ -241,35 +254,202 @@ bool ScheduleState::run_eval() {
     start_[static_cast<std::size_t>(s)] = t_start;
     finish_[static_cast<std::size_t>(s)] = t_finish;
     latency = std::max(latency, t_finish);
+    for_each_successor(s, [&](int t, double transfer) {
+      ready_[static_cast<std::size_t>(t)] =
+          std::max(ready_[static_cast<std::size_t>(t)], t_finish + transfer);
+      if (--in_deg_[static_cast<std::size_t>(t)] == 0) frontier_.push_back(t);
+    });
+  }
+  latency_ = latency;
+  stages_retimed_ += processed;
+  if (processed != alive_count_) return false;
+  if (!pending_ && !committed_) {
+    // The first full evaluation of a committed state seeds the timing that
+    // improves_on() propagates from; frontier_ holds its Kahn order.
+    committed_ = true;
+    committed_latency_ = latency_;
+    committed_finish_ = finish_;
+    at_rank_.assign(frontier_.begin(), frontier_.end());
+    rank_.assign(ops_.size(), -1);
+    for (std::size_t r = 0; r < at_rank_.size(); ++r)
+      rank_[static_cast<std::size_t>(at_rank_[r])] = static_cast<int>(r);
+    queued_.assign((at_rank_.size() + 63) / 64, 0);
+  }
+  return true;
+}
 
-    const int chain = next_on_gpu_[static_cast<std::size_t>(s)];
-    if (chain >= 0) {
-      ready_[static_cast<std::size_t>(chain)] =
-          std::max(ready_[static_cast<std::size_t>(chain)], t_finish);
-      if (--in_deg_[static_cast<std::size_t>(chain)] == 0) frontier_.push_back(chain);
+double ScheduleState::retime(int sid) const {
+  // run_eval's recurrence over the same operands: max over the chain
+  // predecessor and every data input, then one add.
+  const graph::Graph& g = cg_.graph();
+  const std::size_t s = static_cast<std::size_t>(sid);
+  double ready = 0.0;
+  if (pos_of_[s] > 0) {
+    const auto& list = gpu_list_[static_cast<std::size_t>(stage_gpu_[s])];
+    ready = current_finish(list[static_cast<std::size_t>(pos_of_[s] - 1)]);
+  }
+  for (graph::NodeId v : ops_[s]) {
+    for (graph::EdgeId e : cg_.in_edges(v)) {
+      const int su = node_stage_[static_cast<std::size_t>(g.edge(e).src)];
+      if (su >= 0 && su != sid)
+        ready = std::max(ready, current_finish(su) + edge_transfer_[static_cast<std::size_t>(e)]);
     }
-    ++mark_gen_;
-    for (graph::NodeId v : ops_[static_cast<std::size_t>(s)]) {
-      for (graph::EdgeId e : cg_.out_edges(v)) {
-        const int sv = node_stage_[static_cast<std::size_t>(g.edge(e).dst)];
-        if (sv < 0 || sv == s) continue;
-        ready_[static_cast<std::size_t>(sv)] =
-            std::max(ready_[static_cast<std::size_t>(sv)],
-                     t_finish + edge_transfer_[static_cast<std::size_t>(e)]);
-        if (mark_[static_cast<std::size_t>(sv)] != mark_gen_) {
-          mark_[static_cast<std::size_t>(sv)] = mark_gen_;
-          if (--in_deg_[static_cast<std::size_t>(sv)] == 0) frontier_.push_back(sv);
-        }
+  }
+  return ready + stage_time_[static_cast<std::size_t>(sid)];
+}
+
+bool ScheduleState::merge_deadlocks() {
+  // The committed state is acyclic, so a cycle must pass through the
+  // merged stage: some successor of it reaches a member. Every stage on
+  // such a path ranks below that member, so the search stays under the
+  // highest member rank — the members form a chain on one GPU, so that is
+  // the last one's.
+  const PendingMerge& p = *pending_;
+  const int limit = rank_[static_cast<std::size_t>(p.removed.back())];
+  ++mark_gen_;
+  frontier_.clear();
+  bool cycle = false;
+  const auto visit = [&](int s, double) {
+    if (s == p.rep) {
+      cycle = true;
+    } else if (rank_[static_cast<std::size_t>(s)] < limit &&
+               mark_[static_cast<std::size_t>(s)] != mark_gen_) {
+      mark_[static_cast<std::size_t>(s)] = mark_gen_;
+      frontier_.push_back(s);
+    }
+  };
+  for_each_successor(p.rep, visit);
+  for (std::size_t i = 0; i < frontier_.size() && !cycle; ++i)
+    for_each_successor(frontier_[i], visit);
+  return cycle;
+}
+
+std::optional<double> ScheduleState::propagate(double bound) {
+  const PendingMerge& p = *pending_;
+  ++mark_gen_;  // nothing re-timed yet: current_finish() is the committed one
+  const double rep_finish = retime(p.rep);
+  ++stages_retimed_;
+  if (rep_finish >= bound) return std::nullopt;
+
+  // Monotone reject: finishing no earlier than the latest member, the
+  // merged stage feeds every downstream input a value >= the old one, and
+  // max and rounded + are monotone, so the latency stays >= the committed
+  // one, which is >= bound.
+  double members_finish = committed_finish_[static_cast<std::size_t>(p.rep)];
+  for (int m : p.removed)
+    members_finish = std::max(members_finish, committed_finish_[static_cast<std::size_t>(m)]);
+  if (rep_finish >= members_finish && bound <= committed_latency_) return std::nullopt;
+  if (merge_deadlocks()) return std::nullopt;
+
+  // Change propagation in committed-rank order. Outside the merged stage
+  // every edge is a committed one, so an input always ranks below its
+  // consumer: each stage is popped once, after all its changed inputs.
+  ++mark_gen_;
+  finish_[static_cast<std::size_t>(p.rep)] = rep_finish;
+  mark_[static_cast<std::size_t>(p.rep)] = mark_gen_;
+  std::size_t popped = static_cast<std::size_t>(rank_[static_cast<std::size_t>(p.rep)]);
+  std::size_t word = popped / 64;
+  std::size_t last_word = word;
+  const auto push = [&](int s, double) {
+    const std::size_t r = static_cast<std::size_t>(rank_[static_cast<std::size_t>(s)]);
+    HIOS_ASSERT(r > popped, "propagate: stage " << s << " ranks below its input");
+    queued_[r / 64] |= uint64_t{1} << (r % 64);
+    last_word = std::max(last_word, r / 64);
+  };
+  for_each_successor(p.rep, push);
+  for (; word <= last_word; ++word) {
+    while (queued_[word] != 0) {
+      popped = word * 64 + static_cast<std::size_t>(std::countr_zero(queued_[word]));
+      queued_[word] &= queued_[word] - 1;
+      const int s = at_rank_[popped];
+      const double finish = retime(s);
+      ++stages_retimed_;
+      if (finish >= bound) {
+        std::fill(queued_.begin() + static_cast<std::ptrdiff_t>(word),
+                  queued_.begin() + static_cast<std::ptrdiff_t>(last_word) + 1, 0);
+        return std::nullopt;
+      }
+      if (std::bit_cast<uint64_t>(finish) !=
+          std::bit_cast<uint64_t>(committed_finish_[static_cast<std::size_t>(s)])) {
+        finish_[static_cast<std::size_t>(s)] = finish;
+        mark_[static_cast<std::size_t>(s)] = mark_gen_;
+        for_each_successor(s, push);
       }
     }
   }
-  latency_ = latency;
-  return processed == alive_count_;
+
+  // A stage finishes no earlier than its chain predecessor (t(S) >= 0), so
+  // the latency is the latest GPU tail.
+  double latency = 0.0;
+  for (const auto& list : gpu_list_)
+    if (!list.empty()) latency = std::max(latency, current_finish(list.back()));
+  if (latency >= bound) return std::nullopt;
+  return latency;
+}
+
+void ScheduleState::rerank_merge_window() {
+  // Only the ranks from the merged stage's to the last member's can break:
+  // the merged stage must now follow its members' inputs, which rank in
+  // between. A local Kahn pass over the alive stages of that window puts
+  // them first; the window's dead slots (members, and stages merged away
+  // earlier) follow.
+  const PendingMerge& p = *pending_;
+  const int lo = rank_[static_cast<std::size_t>(p.rep)];
+  const int hi = rank_[static_cast<std::size_t>(p.removed.back())];
+  const auto in_window = [&](int s) {
+    const int r = rank_[static_cast<std::size_t>(s)];
+    return alive_[static_cast<std::size_t>(s)] && r >= lo && r <= hi;
+  };
+  for (int r = lo; r <= hi; ++r) {
+    const int s = at_rank_[static_cast<std::size_t>(r)];
+    if (alive_[static_cast<std::size_t>(s)]) in_deg_[static_cast<std::size_t>(s)] = 0;
+  }
+  for (int r = lo; r <= hi; ++r) {
+    const int s = at_rank_[static_cast<std::size_t>(r)];
+    if (!alive_[static_cast<std::size_t>(s)]) continue;
+    for_each_successor(s, [&](int t, double) {
+      if (in_window(t)) ++in_deg_[static_cast<std::size_t>(t)];
+    });
+  }
+  frontier_.clear();
+  for (int r = lo; r <= hi; ++r) {
+    const int s = at_rank_[static_cast<std::size_t>(r)];
+    if (alive_[static_cast<std::size_t>(s)] && in_deg_[static_cast<std::size_t>(s)] == 0)
+      frontier_.push_back(s);
+  }
+  for (std::size_t i = 0; i < frontier_.size(); ++i) {
+    for_each_successor(frontier_[i], [&](int t, double) {
+      if (in_window(t) && --in_deg_[static_cast<std::size_t>(t)] == 0) frontier_.push_back(t);
+    });
+  }
+  int dead_from = hi + 1;  // compact the dead slots to the top, in order
+  for (int r = hi; r >= lo; --r) {
+    const int s = at_rank_[static_cast<std::size_t>(r)];
+    if (!alive_[static_cast<std::size_t>(s)]) at_rank_[static_cast<std::size_t>(--dead_from)] = s;
+  }
+  HIOS_ASSERT(static_cast<int>(frontier_.size()) == dead_from - lo,
+              "rerank_merge_window: cycle inside the merge window");
+  std::copy(frontier_.begin(), frontier_.end(), at_rank_.begin() + lo);
+  for (int r = lo; r <= hi; ++r)
+    rank_[static_cast<std::size_t>(at_rank_[static_cast<std::size_t>(r)])] = r;
 }
 
 std::optional<double> ScheduleState::evaluate_latency() {
   if (!run_eval()) return std::nullopt;
   return latency_;
+}
+
+std::optional<double> ScheduleState::improves_on(double bound) {
+  HIOS_CHECK(pending_.has_value(), "improves_on: no pending merge");
+  if (!committed_) {
+    const auto full = evaluate_latency();
+    if (!full.has_value() || *full >= bound) return std::nullopt;
+    return full;
+  }
+  const auto latency = propagate(bound);
+  if (latency.has_value())
+    scored_ = {pending_->rep, pending_->removed.size(), mark_gen_, *latency};
+  return latency;
 }
 
 std::optional<Evaluation> ScheduleState::evaluate() {

@@ -16,6 +16,10 @@
 //     one in place (O(window ops + stages shifted)), evaluate() runs over
 //     the maintained structure with zero allocation, undo_merge() restores
 //     the previous state exactly, and commit_merge() makes it permanent;
+//   * improves_on(bound) scores the pending merge against the committed
+//     timing instead: it re-times only the stages whose finish the merge
+//     moves, in committed topological-rank order, and gives up as soon as
+//     the bound is out of reach;
 //   * stage-to-stage reachability (the condensed graph of Alg. 2) is
 //     maintained by an incremental transitive-closure update on commit
 //     instead of an O(S^2)-ish rebuild — merging pairwise-independent
@@ -83,6 +87,18 @@ class ScheduleState {
   /// Full timing report, flattened GPU-major like evaluate_schedule.
   std::optional<Evaluation> evaluate();
 
+  /// Latency of the pending merge when it is strictly below `bound`, else
+  /// nullopt (not better, or the merge deadlocks); the value is bit-equal
+  /// to evaluate_latency(). Re-times only the stages whose finish the merge
+  /// moves, against the committed timing that the first evaluation after
+  /// load() establishes and commit_merge() keeps current (DESIGN.md §6d).
+  /// Without committed timing (never evaluated, or a deadlocking commit) it
+  /// falls back to the full pass.
+  std::optional<double> improves_on(double bound);
+  /// Stages timed since load(), summed over full passes, improves_on()
+  /// and commit_merge() — a deterministic measure of evaluation work.
+  std::size_t stages_retimed() const { return stages_retimed_; }
+
   // --- merge protocol (Alg. 2 candidates) -----------------------------
   /// Merges the stages at positions [pos, pos + extent] on `gpu` into the
   /// stage at `pos`, in place. Exactly one merge may be pending at a time;
@@ -90,8 +106,9 @@ class ScheduleState {
   void apply_merge(int gpu, int pos, int extent);
   /// Reverts the pending merge, restoring the pre-apply state exactly.
   void undo_merge();
-  /// Makes the pending merge permanent and updates stage reachability
-  /// incrementally. The merged stages must have been pairwise independent.
+  /// Makes the pending merge permanent and updates stage reachability and
+  /// the committed timing incrementally. The merged stages must have been
+  /// pairwise independent.
   void commit_merge();
 
   /// True when neither alive stage reaches the other through data edges
@@ -118,6 +135,21 @@ class ScheduleState {
   void rebuild_reach();
   bool run_eval();  ///< fills start_/finish_/latency_; false on deadlock
 
+  // Change propagation over the committed timing (see improves_on()).
+  double current_finish(int sid) const {
+    return mark_[static_cast<std::size_t>(sid)] == mark_gen_
+               ? finish_[static_cast<std::size_t>(sid)]
+               : committed_finish_[static_cast<std::size_t>(sid)];
+  }
+  double retime(int sid) const;  ///< finish of `sid` from its inputs' current_finish()
+  bool merge_deadlocks();
+  std::optional<double> propagate(double bound);
+  void rerank_merge_window();
+  /// Calls f(successor stage, transfer) for the chain successor (transfer
+  /// 0) and every data successor of `sid`, repeats included.
+  template <typename F>
+  void for_each_successor(int sid, F&& f) const;
+
   const graph::CompiledGraph& cg_;
   const cost::CostModel& cost_;
   int num_gpus_ = 0;
@@ -142,10 +174,31 @@ class ScheduleState {
 
   // Evaluation scratch, sized at load(); reused allocation-free.
   std::vector<double> ready_, start_, finish_;
-  std::vector<int> in_deg_, next_on_gpu_, frontier_;
+  std::vector<int> in_deg_, frontier_;
   std::vector<int> mark_;
   int mark_gen_ = 0;
   double latency_ = 0.0;
+
+  // Committed timing, valid while committed_: each stage's finish time and
+  // a topological rank of the stages (rank_ and at_rank_ are inverse; dead
+  // stages keep their slots). queued_ is the rank-indexed bitmap that
+  // propagate() pops in rank order; it is all zero between calls.
+  bool committed_ = false;
+  double committed_latency_ = 0.0;
+  std::vector<double> committed_finish_;
+  std::vector<int> rank_, at_rank_;
+  std::vector<uint64_t> queued_;
+  std::size_t stages_retimed_ = 0;
+  // The last improves_on() that ran to completion: its merge, its latency
+  // and the mark generation under which finish_ holds its re-timed stages
+  // (every writer of finish_ bumps mark_gen_). Committing that same merge
+  // right after reuses them.
+  struct Scored {
+    int rep = -1;
+    std::size_t extent = 0;
+    int gen = 0;
+    double latency = 0.0;
+  } scored_;
 };
 
 }  // namespace hios::sched

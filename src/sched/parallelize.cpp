@@ -50,10 +50,9 @@ ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
         ++result.candidates_tried;
 
         state.apply_merge(gpu, pos, extent);
-        const auto cand = state.evaluate_latency();
+        const auto cand = state.improves_on(best_latency);  // nullopt: worse or deadlock
         state.undo_merge();
-        if (!cand.has_value()) continue;  // execution-order deadlock
-        if (*cand < best_latency) {
+        if (cand.has_value()) {
           best_latency = *cand;
           best_extent = extent;
         }
@@ -70,6 +69,7 @@ ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
 
   result.schedule = state.extract();
   result.latency_ms = latency;
+  result.stages_retimed = state.stages_retimed();
   return result;
 }
 

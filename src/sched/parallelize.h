@@ -21,10 +21,12 @@
 //
 // Implementation (see DESIGN.md §6d): candidates are scored on a
 // sched::ScheduleState with the apply -> evaluate -> undo | commit
-// protocol — no Schedule deep copies, no from-scratch re-evaluation, and
-// stage reachability is maintained incrementally across commits. Callers
-// that already hold a CompiledGraph (HIOS-LP / HIOS-MR) pass it in so the
-// priority order is computed once per schedule() call, not again here.
+// protocol — no Schedule deep copies, no from-scratch re-evaluation (each
+// candidate re-times only the stages whose finish it moves, and stops once
+// it cannot beat the best so far), and stage reachability is maintained
+// incrementally across commits. Callers that already hold a CompiledGraph
+// (HIOS-LP / HIOS-MR) pass it in so the priority order is computed once per
+// schedule() call, not again here.
 #pragma once
 
 #include "cost/cost_model.h"
@@ -39,6 +41,10 @@ struct ParallelizeResult {
   double latency_ms = 0.0;
   int merges_accepted = 0;
   int candidates_tried = 0;
+  /// Stage timings summed over every evaluation of the pass (ScheduleState::
+  /// stages_retimed()); a full pass per candidate would cost candidates x
+  /// alive stages.
+  std::size_t stages_retimed = 0;
 };
 
 /// Runs Alg. 2 on a pre-compiled graph (the priority order is taken from

@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <random>
 #include <vector>
@@ -187,9 +190,34 @@ std::optional<double> deep_copy_merge_latency(const graph::Graph& g, Schedule s,
   return eval->latency_ms;
 }
 
+/// The stages at [pos, pos + extent] on `gpu`, as apply_merge() takes them.
+struct Window {
+  int gpu, pos, extent;
+};
+
+bool window_independent(const ScheduleState& state, int gpu, int pos, int extent) {
+  for (int a = pos; a < pos + extent; ++a)
+    for (int b = a + 1; b <= pos + extent; ++b)
+      if (!state.stages_independent(state.stage_at(gpu, a), state.stage_at(gpu, b)))
+        return false;
+  return true;
+}
+
+/// A random window of 1-3 succeeding stages on a random GPU, or nullopt
+/// when the drawn window does not fit or is not pairwise independent.
+std::optional<Window> random_window(const ScheduleState& state, std::mt19937_64& rng) {
+  const int gpu = static_cast<int>(rng() % static_cast<uint64_t>(state.num_gpus()));
+  const int extent = 1 + static_cast<int>(rng() % 3);
+  const int count = state.stage_count(gpu);
+  if (count <= extent) return std::nullopt;
+  const int pos = static_cast<int>(rng() % static_cast<uint64_t>(count - extent));
+  if (!window_independent(state, gpu, pos, extent)) return std::nullopt;
+  return Window{gpu, pos, extent};
+}
+
 TEST(SchedCore, MergeApplyEvaluateUndoMatchesDeepCopy) {
   std::mt19937_64 rng(0xAB1E);
-  int candidates = 0;
+  int candidates = 0, multi = 0;
   for (int iter = 0; iter < 60; ++iter) {
     const graph::Graph g = make_dag(rng);
     const int m = 1 + static_cast<int>(rng() % 3);
@@ -197,7 +225,9 @@ TEST(SchedCore, MergeApplyEvaluateUndoMatchesDeepCopy) {
     maybe_decorate(cost, m, rng);
     const auto reach = graph::reachability(g);
     ScheduleOpts opts;
-    opts.group_prob = 0.0;  // singleton stages: topo order per GPU is feasible
+    // Every other DAG gets grouped stages; stages in topological order on
+    // each GPU stay feasible either way.
+    opts.group_prob = iter % 2 == 0 ? 0.0 : 0.4;
     const Schedule s = random_schedule(g, reach, m, rng, opts);
 
     const graph::CompiledGraph cg(g);
@@ -206,15 +236,12 @@ TEST(SchedCore, MergeApplyEvaluateUndoMatchesDeepCopy) {
     const auto base = state.evaluate_latency();
     ASSERT_TRUE(base.has_value());
 
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      const int gpu = static_cast<int>(rng() % static_cast<uint64_t>(m));
-      const int count = state.stage_count(gpu);
-      if (count < 2) continue;
-      const int pos = static_cast<int>(rng() % static_cast<uint64_t>(count - 1));
-      const int extent = 1;
-      if (!state.stages_independent(state.stage_at(gpu, pos), state.stage_at(gpu, pos + 1)))
-        continue;
+    for (int attempt = 0; attempt < 12; ++attempt) {
+      const auto w = random_window(state, rng);
+      if (!w.has_value()) continue;
+      const auto [gpu, pos, extent] = *w;
       ++candidates;
+      multi += extent > 1;
 
       state.apply_merge(gpu, pos, extent);
       const auto merged = state.evaluate_latency();
@@ -238,6 +265,98 @@ TEST(SchedCore, MergeApplyEvaluateUndoMatchesDeepCopy) {
     }
   }
   EXPECT_GT(candidates, 50);  // the loop really scored merges
+  EXPECT_GT(multi, 20);       // ... including windows of several stages
+}
+
+/// improves_on(b) holds a value iff the full evaluator does and that value
+/// is below b; the value is bit-equal to the full one. Bounds: the
+/// committed latency, the full value itself and the next double above it,
+/// and +inf (last, so a commit that follows can reuse its propagation).
+/// Returns the full evaluation.
+std::optional<double> expect_improves_on_agrees(ScheduleState& state,
+                                                std::optional<double> committed) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto full = state.evaluate_latency();
+  std::vector<double> bounds;
+  if (committed.has_value()) bounds.push_back(*committed);
+  if (full.has_value()) {
+    bounds.push_back(*full);
+    bounds.push_back(std::nextafter(*full, inf));
+  }
+  bounds.push_back(inf);
+  for (double bound : bounds) {
+    const auto got = state.improves_on(bound);
+    const bool want = full.has_value() && *full < bound;
+    EXPECT_EQ(got.has_value(), want) << "bound " << bound;
+    if (got.has_value() && want) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(*got), std::bit_cast<uint64_t>(*full));
+    }
+  }
+  return full;
+}
+
+TEST(SchedCore, ImprovesOnMatchesFullEvaluation) {
+  std::mt19937_64 rng(0x1A9A0);
+  int scored = 0, deadlocking = 0, better = 0, commits = 0;
+  for (int iter = 0; iter < 120; ++iter) {
+    const graph::Graph g = make_dag(rng);
+    const int m = 1 + static_cast<int>(rng() % 4);
+    cost::TableCostModel cost;
+    maybe_decorate(cost, m, rng);
+    const auto reach = graph::reachability(g);
+    ScheduleOpts opts;
+    opts.shuffle = iter % 2 == 1;  // DeadlockParityOnPermutedOrders' orders
+    const Schedule s = random_schedule(g, reach, m, rng, opts);
+
+    const graph::CompiledGraph cg(g);
+    ScheduleState state(cg, cost);
+    state.load(s);
+    std::optional<double> committed = state.evaluate_latency();
+
+    for (int round = 0; round < 4; ++round) {
+      // Score every independent window of 1-3 succeeding stages.
+      for (int gpu = 0; gpu < m; ++gpu) {
+        for (int pos = 0; pos + 1 < state.stage_count(gpu); ++pos) {
+          for (int extent = 1; extent <= 3 && pos + extent < state.stage_count(gpu); ++extent) {
+            if (!window_independent(state, gpu, pos, extent)) break;
+            state.apply_merge(gpu, pos, extent);
+            const auto full = expect_improves_on_agrees(state, committed);
+            state.undo_merge();
+            ++scored;
+            if (committed.has_value()) {
+              deadlocking += !full.has_value();
+              better += full.has_value() && *full < *committed;
+            }
+          }
+        }
+      }
+
+      // Commit a random window: unscored, or scored then undone and
+      // re-applied (parallelize()'s sequence).
+      std::optional<Window> w;
+      for (int attempt = 0; attempt < 16 && !w.has_value(); ++attempt)
+        w = random_window(state, rng);
+      if (!w.has_value()) break;
+      state.apply_merge(w->gpu, w->pos, w->extent);
+      if (rng() % 2 == 0) {
+        expect_improves_on_agrees(state, committed);
+        state.undo_merge();
+        state.apply_merge(w->gpu, w->pos, w->extent);
+      }
+      state.commit_merge();
+      ++commits;
+      committed = state.evaluate_latency();
+
+      // The committed state equals a fresh load of what it extracts.
+      ScheduleState fresh(cg, cost);
+      fresh.load(state.extract());
+      expect_eval_equal(fresh.evaluate(), state.evaluate());
+    }
+  }
+  EXPECT_GT(scored, 2000);
+  EXPECT_GT(deadlocking, 10);  // merges that close a cycle on a feasible state
+  EXPECT_GT(better, 200);
+  EXPECT_GT(commits, 200);
 }
 
 TEST(SchedCore, CommittedReachMatchesFreshRebuild) {
