@@ -9,15 +9,20 @@
 // Besides the sweep, the harness measures the raw scheduling wall-clock of
 // HIOS-LP (with the Alg. 2 parallelize pass) on a 512-op / 4-GPU random
 // DAG — the regression benchmark for the incremental scheduling core
-// (sched/core/, see DESIGN.md §6d) — together with Alg. 2's candidate
-// count and stage timings on that DAG, which unlike the wall clock are the
-// same on every machine. Flags:
+// (sched/core/, see DESIGN.md §6d) — together with the deterministic work
+// counters of Alg. 1 (paths, path-DP positions, list-trial ranks) and
+// Alg. 2 (candidates, stage timings) on that DAG, which unlike the wall
+// clock are the same on every machine. The full run also sweeps HIOS-LP's
+// wall clock over 512/1024/2048-op DAGs, split into Alg. 1 and Alg. 2
+// (the figures BENCH_sched.json records). Flags:
 //   --json <path>       write all results as machine-readable JSON
 //   --smoke             skip the image-size sweeps (CI regression mode)
 //   --assert-max-ms <b> exit 1 when the 512-op wall-clock exceeds b ms
+#include <chrono>
 #include <fstream>
 
 #include "bench_common.h"
+#include "sched/hios_lp.h"
 #include "util/args.h"
 #include "util/json.h"
 
@@ -77,11 +82,12 @@ Json measure_sched_wallclock(int reps) {
     latency_ms = r.latency_ms;
   }
 
-  // Alg. 2's deterministic work counters on the same DAG: HIOS-LP is
-  // inter-lp followed by parallelize.
-  const auto placed = sched::make_scheduler("inter-lp")->schedule(g, cost, config);
+  // Deterministic work counters on the same DAG: HIOS-LP is Alg. 1
+  // (inter-lp) followed by parallelize.
+  const sched::LongestPathMapping alg1 =
+      sched::longest_path_mapping(graph::CompiledGraph(g), config.num_gpus, cost);
   const sched::ParallelizeResult alg2 = sched::parallelize(
-      g, placed.schedule, cost, std::min(config.window, config.max_streams));
+      g, alg1.schedule, cost, std::min(config.window, config.max_streams));
 
   // Wall-clock of the same run before the incremental scheduling core
   // (PR 2), measured on the reference machine: the acceptance bar is a
@@ -97,14 +103,63 @@ Json measure_sched_wallclock(int reps) {
   j["latency_ms"] = latency_ms;
   j["baseline_prerefactor_ms"] = baseline_prerefactor_ms;
   j["speedup_vs_baseline"] = baseline_prerefactor_ms / best_ms;
+  j["alg1_paths"] = alg1.paths;
+  j["alg1_positions_visited"] = alg1.positions_visited;
+  j["alg1_ranks_walked"] = alg1.ranks_walked;
   j["alg2_candidates"] = alg2.candidates_tried;
   j["alg2_stages_retimed"] = alg2.stages_retimed;
   std::printf("HIOS-LP 512 ops / 4 GPUs: scheduling %.2f ms "
               "(pre-refactor baseline %.1f ms, %.1fx), latency %.3f ms\n"
+              "Alg. 1: %zu paths, %zu path-DP positions, %zu list-trial ranks\n"
               "Alg. 2: %d candidates, %zu stage timings\n\n",
               best_ms, baseline_prerefactor_ms, baseline_prerefactor_ms / best_ms, latency_ms,
-              alg2.candidates_tried, alg2.stages_retimed);
+              alg1.paths, alg1.positions_visited, alg1.ranks_walked, alg2.candidates_tried,
+              alg2.stages_retimed);
   return j;
+}
+
+/// HIOS-LP wall clock over growing DAGs (4 GPUs, the 512-op DAG's shape
+/// scaled), split into Alg. 1 (the inter-lp scheduler) and Alg. 2
+/// (parallelize on its schedule). Medians of `reps` runs, each run timing
+/// all three back to back.
+Json measure_sched_scaling(int reps) {
+  const cost::TableCostModel cost;
+  sched::SchedulerConfig config;
+  config.num_gpus = 4;
+  const auto median = [](const std::vector<double>& xs) { return percentile(xs, 0.5); };
+  TextTable table;
+  table.set_header({"num_ops", "hios-lp_ms", "alg1_ms", "alg2_ms"});
+  Json rows = Json::array();
+  for (int ops : {512, 1024, 2048}) {
+    models::RandomDagParams p;
+    p.num_ops = ops;
+    p.num_layers = 22 * ops / 512;
+    p.num_deps = 2 * ops;
+    p.seed = 7;
+    const graph::Graph g = models::random_dag(p);
+    std::vector<double> total, alg1, alg2;
+    for (int rep = 0; rep < reps; ++rep) {
+      total.push_back(sched::make_scheduler("hios-lp")->schedule(g, cost, config).scheduling_ms);
+      const auto placed = sched::make_scheduler("inter-lp")->schedule(g, cost, config);
+      alg1.push_back(placed.scheduling_ms);
+      const auto t0 = std::chrono::steady_clock::now();
+      sched::parallelize(g, placed.schedule, cost, std::min(config.window, config.max_streams));
+      alg2.push_back(
+          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+              .count());
+    }
+    Json row = Json::object();
+    row["num_ops"] = ops;
+    row["hios_lp_ms"] = median(total);
+    row["alg1_ms"] = median(alg1);
+    row["alg2_ms"] = median(alg2);
+    table.add_row({std::to_string(ops), TextTable::num(median(total), 2),
+                   TextTable::num(median(alg1), 2), TextTable::num(median(alg2), 2)});
+    rows.push_back(std::move(row));
+  }
+  std::printf("HIOS-LP scheduling wall clock, 4 GPUs (median of %d)\n", reps);
+  bench::print_table(table, "sched_scaling");
+  return rows;
 }
 
 }  // namespace
@@ -149,6 +204,7 @@ int main(int argc, char** argv) {
   }
 
   out["sched_wallclock_512x4"] = measure_sched_wallclock(smoke ? 3 : 5);
+  if (!smoke) out["sched_scaling"] = measure_sched_scaling(5);
 
   if (!smoke) {
     bench::print_expectation(

@@ -5,6 +5,9 @@
 
 #include "core/hios.h"
 #include "cost/stage_cache.h"
+#include "graph/compiled_graph.h"
+#include "graph/longest_path.h"
+#include "sched/core/list_state.h"
 #include "sched/core/schedule_state.h"
 
 using namespace hios;
@@ -32,6 +35,8 @@ void BM_Reachability(benchmark::State& state) {
 }
 BENCHMARK(BM_Reachability)->Arg(100)->Arg(400);
 
+// Reference path: the one-shot extraction HIOS-LP no longer calls (it keeps
+// a graph::ValidPathFinder; see BM_Alg1Path).
 void BM_LongestValidPath(benchmark::State& state) {
   const graph::Graph g = test_graph(static_cast<int>(state.range(0)));
   DynBitset half(g.num_nodes());
@@ -40,6 +45,8 @@ void BM_LongestValidPath(benchmark::State& state) {
 }
 BENCHMARK(BM_LongestValidPath)->Arg(100)->Arg(400);
 
+// Reference path: the from-scratch list schedule HIOS-LP no longer calls
+// (it keeps a sched::ListScheduleState; see BM_ListTrial).
 void BM_ListSchedule(benchmark::State& state) {
   const graph::Graph g = test_graph(static_cast<int>(state.range(0)));
   const cost::TableCostModel cost;
@@ -50,6 +57,70 @@ void BM_ListSchedule(benchmark::State& state) {
     benchmark::DoNotOptimize(sched::list_schedule(g, mapping, order, 4, cost));
 }
 BENCHMARK(BM_ListSchedule)->Arg(100)->Arg(400);
+
+// Every path extraction of Alg. 1 on a 1024-op DAG, one benchmark iteration
+// per whole sequence (items = paths). `oneshot` calls longest_valid_path on
+// the growing mask, `incremental` one ValidPathFinder's next().
+void BM_Alg1Path(benchmark::State& state, bool incremental) {
+  const graph::Graph g = test_graph(1024);
+  const graph::CompiledGraph cg(g);
+  const std::size_t n = g.num_nodes();
+  std::size_t paths = 0;
+  for (auto _ : state) {
+    if (incremental) {
+      graph::ValidPathFinder finder(g, cg.topo_order(), DynBitset(n));
+      while (auto path = finder.next()) {
+        benchmark::DoNotOptimize(path->length);
+        ++paths;
+      }
+    } else {
+      DynBitset scheduled(n);
+      while (auto path = graph::longest_valid_path(g, scheduled, cg.topo_order())) {
+        benchmark::DoNotOptimize(path->length);
+        for (graph::NodeId v : path->nodes) scheduled.set(static_cast<std::size_t>(v));
+        ++paths;
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(paths));
+}
+BENCHMARK_CAPTURE(BM_Alg1Path, oneshot, false)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Alg1Path, incremental, true)->Unit(benchmark::kMillisecond);
+
+// Alg. 1's list trials on a 1024-op, 4-GPU DAG: the paths of an inter-lp run,
+// each set on GPUs 0..3 with a latency() after each and committed to the
+// GPU inter-lp chose. One iteration replays the whole run on a fresh
+// ListScheduleState (items = set_gpu + latency trials).
+void BM_ListTrial(benchmark::State& state) {
+  constexpr int kGpus = 4;
+  const graph::Graph g = test_graph(1024);
+  const graph::CompiledGraph cg(g);
+  const cost::TableCostModel cost;
+  sched::SchedulerConfig config;
+  config.num_gpus = kGpus;
+  const std::vector<int> chosen =
+      sched::make_scheduler("inter-lp")->schedule(g, cost, config).schedule.gpu_assignment(
+          g.num_nodes());
+  std::vector<std::vector<graph::NodeId>> paths;
+  graph::ValidPathFinder finder(g, cg.topo_order(), DynBitset(g.num_nodes()));
+  while (auto path = finder.next()) paths.push_back(std::move(path->nodes));
+
+  const cost::StageTimeCache cached(cost);
+  std::size_t trials = 0;
+  for (auto _ : state) {
+    sched::ListScheduleState trial(cg, kGpus, cached);
+    for (const auto& path : paths) {
+      for (int gpu = 0; gpu < kGpus; ++gpu) {
+        for (graph::NodeId v : path) trial.set_gpu(v, gpu);
+        benchmark::DoNotOptimize(trial.latency());
+        ++trials;
+      }
+      for (graph::NodeId v : path) trial.set_gpu(v, chosen[static_cast<std::size_t>(v)]);
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(trials));
+}
+BENCHMARK(BM_ListTrial)->Unit(benchmark::kMillisecond);
 
 void BM_StageTimeEval(benchmark::State& state) {
   const graph::Graph g = test_graph(64);

@@ -8,44 +8,37 @@
 #include "graph/longest_path.h"
 #include "sched/core/list_state.h"
 #include "sched/evaluate.h"
-#include "sched/list_schedule.h"
 #include "sched/parallelize.h"
-#include "util/bitset.h"
 
 namespace hios::sched {
 
-ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::CostModel& cost,
-                                         const SchedulerConfig& config) const {
-  HIOS_CHECK(config.num_gpus >= 1, "HIOS-LP needs >= 1 GPU");
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t n = g.num_nodes();
-  const int m = config.num_gpus;
-
-  // Compiled once for the whole run: CSR adjacency plus the priority
-  // indicators / order on the original graph G (Alg. 1 line 1).
-  const graph::CompiledGraph cg(g);
-  const std::vector<graph::NodeId>& order = cg.priority_order();
-  const cost::StageTimeCache cached(cost);
-
-  // Incremental objective: each path-on-GPU trial only touches the path's
-  // nodes, so the list schedule is recomputed from the earliest changed
-  // priority rank instead of from scratch (Alg. 1 lines 7-16).
-  ListScheduleState trial(cg, m, cached);
-
-  DynBitset scheduled(n);
-  while (scheduled.count() < n) {
-    auto path = graph::longest_valid_path(g, scheduled, cg.topo_order());
-    HIOS_ASSERT(path.has_value(), "unscheduled vertices remain but no path found");
-    for (graph::NodeId v : path->nodes) {
-      HIOS_ASSERT(!scheduled.test(static_cast<std::size_t>(v)), "path revisits node " << v);
-      scheduled.set(static_cast<std::size_t>(v));
-    }
+LongestPathMapping longest_path_mapping(const graph::CompiledGraph& cg, int num_gpus,
+                                        const cost::CostModel& cost) {
+  const std::size_t n = cg.num_nodes();
+  // Incremental path extraction and objective: each path only touches its
+  // neighbourhood, so the path DP reruns from the earliest touched
+  // topological position and each path-on-GPU trial re-times the mapped
+  // operators from the path's earliest priority rank (Alg. 1 lines 5-16).
+  graph::ValidPathFinder finder(cg.graph(), cg.topo_order(), DynBitset(n));
+  ListScheduleState trial(cg, num_gpus, cost);
+  LongestPathMapping out;
+  std::size_t committed_rank = n;  // first rank of the last committed path
+  while (auto path = finder.next()) {
+    ++out.paths;
+    std::size_t first_rank = n;
+    for (graph::NodeId v : path->nodes)
+      first_rank = std::min(first_rank, static_cast<std::size_t>(cg.rank(v)));
+    // A walk over every suffix rank starts the first trial at the last
+    // commit's first rank when that is earlier.
+    out.suffix_ranks += (n - std::min(first_rank, committed_rank)) +
+                        static_cast<std::size_t>(num_gpus - 1) * (n - first_rank);
+    committed_rank = first_rank;
     // Try the path on every GPU; keep the one minimising the latency of the
     // list schedule over all mapped operators (strict `<`: lowest GPU wins
     // ties).
     int best_gpu = 0;
     double best_latency = 0.0;
-    for (int gpu = 0; gpu < m; ++gpu) {
+    for (int gpu = 0; gpu < num_gpus; ++gpu) {
       for (graph::NodeId v : path->nodes) trial.set_gpu(v, gpu);
       const double latency = trial.latency();
       if (gpu == 0 || latency < best_latency) {
@@ -55,8 +48,23 @@ ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::Cost
     }
     for (graph::NodeId v : path->nodes) trial.set_gpu(v, best_gpu);
   }
+  out.schedule = trial.schedule();
+  out.positions_visited = finder.positions_visited();
+  out.ranks_walked = trial.ranks_walked();
+  return out;
+}
 
-  ListScheduleResult placed = list_schedule(g, trial.mapping(), order, m, cached);
+ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::CostModel& cost,
+                                         const SchedulerConfig& config) const {
+  HIOS_CHECK(config.num_gpus >= 1, "HIOS-LP needs >= 1 GPU");
+  const auto t0 = std::chrono::steady_clock::now();
+
+  // Compiled once for the whole run: CSR adjacency plus the priority
+  // indicators / order on the original graph G (Alg. 1 line 1).
+  const graph::CompiledGraph cg(g);
+  const cost::StageTimeCache cached(cost);
+  LongestPathMapping placed = longest_path_mapping(cg, config.num_gpus, cached);
+
   ScheduleResult result;
   result.algorithm = name();
   if (apply_intra_ && config.apply_intra) {

@@ -7,9 +7,32 @@
 // commits the best GPU. See graph/longest_path.h for path semantics.
 #pragma once
 
+#include "graph/compiled_graph.h"
 #include "sched/scheduler.h"
 
 namespace hios::sched {
+
+/// Outcome of Alg. 1 (the inter-GPU mapping) with its deterministic work
+/// counters.
+struct LongestPathMapping {
+  Schedule schedule;  ///< list schedule of the final mapping (singleton stages)
+  std::size_t paths = 0;
+  /// ValidPathFinder::positions_visited(); a from-scratch extraction per
+  /// path would walk every unscheduled position.
+  std::size_t positions_visited = 0;
+  /// ListScheduleState::ranks_walked() over all trials.
+  std::size_t ranks_walked = 0;
+  /// Sum over trials of the dirty suffix length (ranks from the earliest
+  /// re-mapped priority rank to the end): what a trial that walks every
+  /// rank of its suffix visits.
+  std::size_t suffix_ranks = 0;
+};
+
+/// Alg. 1 on a pre-compiled graph: extracts longest valid paths, tries each
+/// on every GPU, and keeps the GPU whose list schedule over all mapped
+/// operators has the lowest latency (lowest GPU on ties).
+LongestPathMapping longest_path_mapping(const graph::CompiledGraph& cg, int num_gpus,
+                                        const cost::CostModel& cost);
 
 class HiosLpScheduler final : public Scheduler {
  public:

@@ -5,8 +5,10 @@
 // slow for word-wise set algebra.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
@@ -95,13 +97,32 @@ class DynBitset {
   /// Calls fn(index) for every set bit, ascending.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
+    for_each_from(0, std::forward<Fn>(fn));
+  }
+
+  /// Calls fn(index) for every set bit at or above `from`, ascending.
+  template <typename Fn>
+  void for_each_from(std::size_t from, Fn&& fn) const {
+    for (std::size_t w = from >> 6; w < words_.size(); ++w) {
       uint64_t word = words_[w];
+      if (w == from >> 6) word &= ~uint64_t{0} << (from & 63);
       while (word) {
         const int bit = __builtin_ctzll(word);
         fn(w * 64 + static_cast<std::size_t>(bit));
         word &= word - 1;
       }
+    }
+  }
+
+  /// Highest set bit below `before`, or size() when there is none.
+  std::size_t find_prev(std::size_t before) const {
+    const std::size_t b = std::min(before, bits_);
+    std::size_t w = b >> 6;
+    uint64_t word = w < words_.size() ? words_[w] & ((uint64_t{1} << (b & 63)) - 1) : 0;
+    while (true) {
+      if (word) return w * 64 + 63 - static_cast<std::size_t>(__builtin_clzll(word));
+      if (w == 0) return bits_;
+      word = words_[--w];
     }
   }
 

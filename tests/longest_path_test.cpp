@@ -1,8 +1,14 @@
 // Unit tests for the longest-valid-path extraction of Alg. 1.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <random>
+
+#include "graph/algorithms.h"
 #include "graph/longest_path.h"
 #include "models/examples.h"
+#include "models/random_dag.h"
 
 namespace hios::graph {
 namespace {
@@ -155,6 +161,51 @@ TEST(LongestValidPath, PathLengthsNonIncreasingOnFig4) {
 TEST(LongestValidPath, MaskSizeMismatchThrows) {
   Graph g = models::make_chain(3);
   EXPECT_THROW(longest_valid_path(g, DynBitset(2)), Error);
+}
+
+TEST(LongestValidPath, FinderMatchesOneShotOnEveryExtraction) {
+  // The finder keeps its DP across extractions; the one-shot function runs
+  // it from scratch on the same mask. Half the DAGs get small integer
+  // weights, so equal lengths and equal chain candidates are common and the
+  // tie-breaks are exercised; half start from a random pre-scheduled mask.
+  std::mt19937_64 rng(0xF1ED);
+  std::size_t extractions = 0;
+  for (int iter = 0; iter < 200; ++iter) {
+    models::RandomDagParams p;
+    p.num_ops = 10 + static_cast<int>(rng() % 110);
+    p.num_layers = 2 + static_cast<int>(rng() % 8);
+    p.num_deps = p.num_ops + static_cast<int>(rng() % (2 * p.num_ops));
+    p.seed = rng();
+    Graph g = models::random_dag(p);
+    const std::size_t n = g.num_nodes();
+    if (iter % 2 == 0) {
+      for (NodeId v = 0; v < static_cast<NodeId>(n); ++v)
+        g.set_node_weight(v, static_cast<double>(1 + rng() % 3));
+      for (EdgeId e = 0; e < static_cast<EdgeId>(g.num_edges()); ++e)
+        g.set_edge_weight(e, static_cast<double>(rng() % 2));
+    }
+    DynBitset scheduled(n);
+    if (iter % 4 < 2)
+      for (std::size_t v = 0; v < n; ++v)
+        if (rng() % 4 == 0) scheduled.set(v);
+    const auto topo = topological_sort(g);
+    ASSERT_TRUE(topo.has_value());
+
+    ValidPathFinder finder(g, *topo, scheduled);
+    while (true) {
+      const auto want = longest_valid_path(g, scheduled, *topo);
+      const auto got = finder.next();
+      ASSERT_EQ(want.has_value(), got.has_value()) << "dag " << iter;
+      if (!want) break;
+      ++extractions;
+      ASSERT_EQ(want->nodes, got->nodes) << "dag " << iter << " extraction " << extractions;
+      ASSERT_EQ(std::bit_cast<uint64_t>(want->length), std::bit_cast<uint64_t>(got->length))
+          << "dag " << iter;
+      for (NodeId v : want->nodes) scheduled.set(static_cast<std::size_t>(v));
+    }
+    EXPECT_EQ(scheduled.count(), n);
+  }
+  EXPECT_GT(extractions, 2000u);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "cost/table_model.h"
 #include "graph/algorithms.h"
 #include "graph/compiled_graph.h"
+#include "graph/longest_path.h"
 #include "models/random_dag.h"
 #include "sched/core/list_state.h"
 #include "sched/core/schedule_state.h"
@@ -443,6 +444,73 @@ TEST(SchedCore, ListStateMatchesFromScratchPass) {
       }
     }
   }
+}
+
+TEST(SchedCore, ListStateMatchesAlg1TrialSequence) {
+  // Alg. 1's access pattern: each longest valid path is tried on GPUs
+  // 0..m-1 and committed to one of them; unmaps and remaps are interleaved,
+  // so mapped ranks appear and disappear on both sides of the dirty rank.
+  std::mt19937_64 rng(0xA1617);
+  std::size_t checks = 0, unmaps = 0;
+  for (int iter = 0; iter < 80; ++iter) {
+    const graph::Graph g = make_dag(rng);
+    const std::size_t n = g.num_nodes();
+    const int m = 1 + static_cast<int>(rng() % 4);
+    cost::TableCostModel cost;
+    maybe_decorate(cost, m, rng);
+    const graph::CompiledGraph cg(g);
+    const std::vector<graph::NodeId>& order = cg.priority_order();
+
+    ListScheduleState trial(cg, m, cost);
+    std::vector<int> mapping(n, -1);
+    const auto check = [&] {
+      const double incremental = trial.latency();
+      const ListScheduleResult full = list_schedule(g, mapping, order, m, cost);
+      ++checks;
+      ASSERT_EQ(std::bit_cast<uint64_t>(full.latency_ms), std::bit_cast<uint64_t>(incremental));
+      for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(n); ++v) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(full.start[static_cast<std::size_t>(v)]),
+                  std::bit_cast<uint64_t>(trial.start(v)))
+            << "node " << v;
+        ASSERT_EQ(std::bit_cast<uint64_t>(full.finish[static_cast<std::size_t>(v)]),
+                  std::bit_cast<uint64_t>(trial.finish(v)))
+            << "node " << v;
+      }
+      EXPECT_EQ(trial.mapping(), mapping);
+      EXPECT_EQ(trial.schedule().to_json(g).dump(), full.schedule.to_json(g).dump());
+    };
+    const auto set = [&](graph::NodeId v, int gpu) {
+      mapping[static_cast<std::size_t>(v)] = gpu;
+      trial.set_gpu(v, gpu);
+    };
+
+    graph::ValidPathFinder finder(g, cg.topo_order(), DynBitset(n));
+    while (auto path = finder.next()) {
+      for (int gpu = 0; gpu < m; ++gpu) {
+        for (graph::NodeId v : path->nodes) set(v, gpu);
+        check();
+      }
+      const int commit = static_cast<int>(rng() % static_cast<uint64_t>(m));
+      for (graph::NodeId v : path->nodes) set(v, commit);
+      if (rng() % 3 == 0) check();
+      // Unmap a few mapped nodes, or map some of them back elsewhere.
+      if (rng() % 3 == 0) {
+        const int k = 1 + static_cast<int>(rng() % 3);
+        for (int j = 0; j < k; ++j) {
+          const auto v = static_cast<graph::NodeId>(rng() % n);
+          if (mapping[static_cast<std::size_t>(v)] < 0) {
+            set(v, static_cast<int>(rng() % static_cast<uint64_t>(m)));
+          } else {
+            set(v, -1);
+            ++unmaps;
+          }
+        }
+        check();
+      }
+    }
+  }
+  EXPECT_GT(checks, 2000u);
+  EXPECT_GT(unmaps, 200u);
 }
 
 TEST(SchedCore, StageTimeCacheBitEqualToInner) {

@@ -218,6 +218,30 @@ TEST(Bitset, ForEachAscending) {
   EXPECT_EQ(seen, (std::vector<std::size_t>{5, 63, 64, 199}));
 }
 
+TEST(Bitset, ForEachFromAndFindPrev) {
+  DynBitset b(200);
+  for (std::size_t i : {5, 63, 64, 130, 199}) b.set(i);
+  for (std::size_t from : {0, 5, 6, 64, 65, 128, 199, 200}) {
+    std::vector<std::size_t> seen, want;
+    b.for_each_from(from, [&](std::size_t i) { seen.push_back(i); });
+    b.for_each([&](std::size_t i) {
+      if (i >= from) want.push_back(i);
+    });
+    EXPECT_EQ(seen, want) << "from " << from;
+  }
+  // find_prev(i): highest set bit strictly below i, size() when none.
+  for (std::size_t before = 0; before <= 210; ++before) {
+    std::size_t want = b.size();
+    for (std::size_t i = 0; i < std::min<std::size_t>(before, b.size()); ++i)
+      if (b.test(i)) want = i;
+    EXPECT_EQ(b.find_prev(before), want) << "before " << before;
+  }
+  EXPECT_EQ(DynBitset(0).find_prev(0), 0u);
+  DynBitset full(128);
+  full.set(127);
+  EXPECT_EQ(full.find_prev(128), 127u);
+}
+
 TEST(Bitset, HashAndEquality) {
   DynBitset a(90), b(90);
   a.set(10);
