@@ -11,13 +11,16 @@
 // DAG — the regression benchmark for the incremental scheduling core
 // (sched/core/, see DESIGN.md §6d) — together with the deterministic work
 // counters of Alg. 1 (paths, path-DP positions, list-trial ranks) and
-// Alg. 2 (candidates, stage timings) on that DAG, which unlike the wall
-// clock are the same on every machine. The full run also sweeps HIOS-LP's
-// wall clock over 512/1024/2048-op DAGs, split into Alg. 1 and Alg. 2
-// (the figures BENCH_sched.json records). Flags:
+// Alg. 2 (candidates, stage timings, independence-search stages) on that
+// DAG, which unlike the wall clock are the same on every machine. The full
+// run also sweeps HIOS-LP's wall clock over 256- to 8192-op DAGs, split
+// into Alg. 1 and Alg. 2, and prints the process peak RSS after the
+// largest (the figures BENCH_sched.json records). Flags:
 //   --json <path>       write all results as machine-readable JSON
 //   --smoke             skip the image-size sweeps (CI regression mode)
 //   --assert-max-ms <b> exit 1 when the 512-op wall-clock exceeds b ms
+#include <sys/resource.h>
+
 #include <chrono>
 #include <fstream>
 
@@ -108,21 +111,23 @@ Json measure_sched_wallclock(int reps) {
   j["alg1_ranks_walked"] = alg1.ranks_walked;
   j["alg2_candidates"] = alg2.candidates_tried;
   j["alg2_stages_retimed"] = alg2.stages_retimed;
+  j["alg2_stages_searched"] = alg2.stages_searched;
   std::printf("HIOS-LP 512 ops / 4 GPUs: scheduling %.2f ms "
               "(pre-refactor baseline %.1f ms, %.1fx), latency %.3f ms\n"
               "Alg. 1: %zu paths, %zu path-DP positions, %zu list-trial ranks\n"
-              "Alg. 2: %d candidates, %zu stage timings\n\n",
+              "Alg. 2: %d candidates, %zu stage timings, %zu stages searched\n\n",
               best_ms, baseline_prerefactor_ms, baseline_prerefactor_ms / best_ms, latency_ms,
               alg1.paths, alg1.positions_visited, alg1.ranks_walked, alg2.candidates_tried,
-              alg2.stages_retimed);
+              alg2.stages_retimed, alg2.stages_searched);
   return j;
 }
 
 /// HIOS-LP wall clock over growing DAGs (4 GPUs, the 512-op DAG's shape
 /// scaled), split into Alg. 1 (the inter-lp scheduler) and Alg. 2
 /// (parallelize on its schedule). Medians of `reps` runs, each run timing
-/// all three back to back.
-Json measure_sched_scaling(int reps) {
+/// all three back to back. Also records the process peak RSS after the
+/// largest DAG.
+void measure_sched_scaling(int reps, Json& out) {
   const cost::TableCostModel cost;
   sched::SchedulerConfig config;
   config.num_gpus = 4;
@@ -130,7 +135,7 @@ Json measure_sched_scaling(int reps) {
   TextTable table;
   table.set_header({"num_ops", "hios-lp_ms", "alg1_ms", "alg2_ms"});
   Json rows = Json::array();
-  for (int ops : {512, 1024, 2048}) {
+  for (int ops : {256, 512, 1024, 2048, 4096, 8192}) {
     models::RandomDagParams p;
     p.num_ops = ops;
     p.num_layers = 22 * ops / 512;
@@ -138,8 +143,11 @@ Json measure_sched_scaling(int reps) {
     p.seed = 7;
     const graph::Graph g = models::random_dag(p);
     std::vector<double> total, alg1, alg2;
+    double latency_ms = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-      total.push_back(sched::make_scheduler("hios-lp")->schedule(g, cost, config).scheduling_ms);
+      const auto r = sched::make_scheduler("hios-lp")->schedule(g, cost, config);
+      total.push_back(r.scheduling_ms);
+      latency_ms = r.latency_ms;
       const auto placed = sched::make_scheduler("inter-lp")->schedule(g, cost, config);
       alg1.push_back(placed.scheduling_ms);
       const auto t0 = std::chrono::steady_clock::now();
@@ -153,13 +161,19 @@ Json measure_sched_scaling(int reps) {
     row["hios_lp_ms"] = median(total);
     row["alg1_ms"] = median(alg1);
     row["alg2_ms"] = median(alg2);
+    row["latency_ms"] = latency_ms;
     table.add_row({std::to_string(ops), TextTable::num(median(total), 2),
                    TextTable::num(median(alg1), 2), TextTable::num(median(alg2), 2)});
     rows.push_back(std::move(row));
   }
   std::printf("HIOS-LP scheduling wall clock, 4 GPUs (median of %d)\n", reps);
   bench::print_table(table, "sched_scaling");
-  return rows;
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+  std::printf("peak RSS after the 8192-op row: %.1f MB\n\n", peak_rss_mb);
+  out["sched_scaling"] = std::move(rows);
+  out["sched_scaling_peak_rss_mb"] = peak_rss_mb;
 }
 
 }  // namespace
@@ -186,6 +200,9 @@ int main(int argc, char** argv) {
                       "time cost of scheduling optimization (minutes) vs input size");
 
   if (!smoke) {
+    // The scaling rows run first, so the peak RSS they report is the
+    // scheduler's own, not the image-size sweeps'.
+    measure_sched_scaling(5, out);
     sweep("(a) Inception-v3", {299, 512, 1024, 2048},
           [](int64_t hw) {
             models::InceptionV3Options opt;
@@ -204,7 +221,6 @@ int main(int argc, char** argv) {
   }
 
   out["sched_wallclock_512x4"] = measure_sched_wallclock(smoke ? 3 : 5);
-  if (!smoke) out["sched_scaling"] = measure_sched_scaling(5);
 
   if (!smoke) {
     bench::print_expectation(

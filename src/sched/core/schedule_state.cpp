@@ -3,14 +3,31 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <unordered_set>
-
-#include "graph/algorithms.h"
 
 namespace hios::sched {
 
 ScheduleState::ScheduleState(const graph::CompiledGraph& cg, const cost::CostModel& cost)
     : cg_(cg), cost_(cost) {}
+
+template <typename F>
+void ScheduleState::for_each_successor(int sid, F&& f) const {
+  const std::size_t s = static_cast<std::size_t>(sid);
+  const auto& list = gpu_list_[static_cast<std::size_t>(stage_gpu_[s])];
+  const std::size_t next = static_cast<std::size_t>(pos_of_[s]) + 1;
+  if (next < list.size()) f(list[next], 0.0);
+  for_each_data_successor(sid, f);
+}
+
+template <typename F>
+void ScheduleState::for_each_data_successor(int sid, F&& f) const {
+  const graph::Graph& g = cg_.graph();
+  for (graph::NodeId v : ops_[static_cast<std::size_t>(sid)]) {
+    for (graph::EdgeId e : cg_.out_edges(v)) {
+      const int sv = node_stage_[static_cast<std::size_t>(g.edge(e).dst)];
+      if (sv >= 0 && sv != sid) f(sv, edge_transfer_[static_cast<std::size_t>(e)]);
+    }
+  }
+}
 
 void ScheduleState::load(const Schedule& schedule) {
   const std::size_t n = cg_.num_nodes();
@@ -75,37 +92,58 @@ void ScheduleState::load(const Schedule& schedule) {
         g, e, stage_gpu_[static_cast<std::size_t>(su)], stage_gpu_[static_cast<std::size_t>(sv)]);
   }
 
-  rebuild_reach();
+  seen_.assign(cap, 0);
+  seen_gen_ = 0;
+  stages_searched_ = 0;
+  // A cyclic stage data graph deadlocks (run_eval reports nullopt, like the
+  // reference evaluator); load() stays total by calling every pair dependent.
+  data_cyclic_ = !data_acyclic();
 }
 
-void ScheduleState::rebuild_reach() {
-  // Condensed data-dependency graph over the (initial) stages. Edge dedup
-  // uses a hash set of packed (src, dst) stage pairs — the old per-edge
-  // Graph::find_edge scan made this quadratic on dense stage graphs.
-  const std::size_t num_stages = ops_.size();
-  graph::Graph condensed("stages");
-  for (std::size_t s = 0; s < num_stages; ++s) condensed.add_node(std::to_string(s));
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(cg_.num_edges() * 2);
-  for (const graph::Edge& e : cg_.graph().edges()) {
-    const int su = node_stage_[static_cast<std::size_t>(e.src)];
-    const int sv = node_stage_[static_cast<std::size_t>(e.dst)];
-    if (su < 0 || sv < 0 || su == sv) continue;
-    const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(su)) << 32) |
-                         static_cast<uint64_t>(static_cast<uint32_t>(sv));
-    if (seen.insert(key).second) condensed.add_edge(su, sv);
+bool ScheduleState::data_acyclic() {
+  for (std::size_t s = 0; s < ops_.size(); ++s)  // in_deg_ is all zero after load()
+    for_each_data_successor(static_cast<int>(s),
+                            [&](int t, double) { ++in_deg_[static_cast<std::size_t>(t)]; });
+  frontier_.clear();
+  for (std::size_t s = 0; s < ops_.size(); ++s)
+    if (in_deg_[s] == 0) frontier_.push_back(static_cast<int>(s));
+  for (std::size_t i = 0; i < frontier_.size(); ++i) {
+    for_each_data_successor(frontier_[i], [&](int t, double) {
+      if (--in_deg_[static_cast<std::size_t>(t)] == 0) frontier_.push_back(t);
+    });
   }
-  if (!graph::is_dag(condensed)) {
-    // A cyclic condensed graph means the input schedule deadlocks (the
-    // reference evaluator reports nullopt, and so does run_eval). Keep
-    // load() total by marking every pair dependent: no merge is ever
-    // independent on an infeasible schedule.
-    reach_.assign(num_stages, DynBitset(num_stages));
-    for (auto& row : reach_)
-      for (std::size_t s = 0; s < num_stages; ++s) row.set(s);
-    return;
-  }
-  reach_ = graph::reachability(condensed);
+  return frontier_.size() == ops_.size();
+}
+
+bool ScheduleState::stages_independent(int a, int b) const {
+  HIOS_ASSERT(!pending_.has_value(), "stages_independent: a merge is pending");
+  if (a == b || data_cyclic_) return false;
+  // Depth-first over data successors from `from`, expanding only stages
+  // ranked below `limit` (all of them when limit < 0).
+  const auto reaches = [&](int from, int to, int limit) {
+    seen_[static_cast<std::size_t>(from)] = ++seen_gen_;
+    search_.assign(1, from);
+    bool found = false;
+    while (!search_.empty() && !found) {
+      const int s = search_.back();
+      search_.pop_back();
+      ++stages_searched_;
+      for_each_data_successor(s, [&](int t, double) {
+        found = found || t == to;
+        if (seen_[static_cast<std::size_t>(t)] != seen_gen_ &&
+            (limit < 0 || rank_[static_cast<std::size_t>(t)] < limit)) {
+          seen_[static_cast<std::size_t>(t)] = seen_gen_;
+          search_.push_back(t);
+        }
+      });
+    }
+    return found;
+  };
+  if (!committed_) return !reaches(a, b, -1) && !reaches(b, a, -1);
+  // Committed ranks order every data edge, so a path between the two runs
+  // from the lower-ranked stage up, through ranks strictly in between.
+  if (rank_[static_cast<std::size_t>(a)] > rank_[static_cast<std::size_t>(b)]) std::swap(a, b);
+  return !reaches(a, b, rank_[static_cast<std::size_t>(b)]);
 }
 
 void ScheduleState::apply_merge(int gpu, int pos, int extent) {
@@ -178,49 +216,7 @@ void ScheduleState::commit_merge() {
       rerank_merge_window();
     }
   }
-  const PendingMerge p = std::move(*pending_);
   pending_.reset();
-
-  // Incremental transitive closure: merging pairwise-independent stages
-  // {rep} + removed creates exactly the new paths x ->* merged ->* y where
-  // x reached some member and some member reached y. U below is everything
-  // any member reached; every stage that reached a member inherits U (and
-  // the merged stage itself, addressed as rep).
-  const std::size_t sz = reach_.size();
-  HIOS_ASSERT(static_cast<std::size_t>(p.rep) < sz, "commit_merge: bad rep id");
-  DynBitset U = reach_[static_cast<std::size_t>(p.rep)];
-  for (int m : p.removed) {
-    HIOS_ASSERT(!reach_[static_cast<std::size_t>(p.rep)].test(static_cast<std::size_t>(m)) &&
-                    !reach_[static_cast<std::size_t>(m)].test(static_cast<std::size_t>(p.rep)),
-                "commit_merge: merged stages were not independent");
-    U |= reach_[static_cast<std::size_t>(m)];
-  }
-  for (std::size_t s = 0; s < sz; ++s) {
-    if (!alive_[s] || static_cast<int>(s) == p.rep) continue;
-    bool touches = reach_[s].test(static_cast<std::size_t>(p.rep));
-    for (std::size_t k = 0; !touches && k < p.removed.size(); ++k)
-      touches = reach_[s].test(static_cast<std::size_t>(p.removed[k]));
-    if (touches) {
-      reach_[s] |= U;
-      reach_[s].set(static_cast<std::size_t>(p.rep));
-    }
-  }
-  reach_[static_cast<std::size_t>(p.rep)] = std::move(U);
-}
-
-template <typename F>
-void ScheduleState::for_each_successor(int sid, F&& f) const {
-  const graph::Graph& g = cg_.graph();
-  const std::size_t s = static_cast<std::size_t>(sid);
-  const auto& list = gpu_list_[static_cast<std::size_t>(stage_gpu_[s])];
-  const std::size_t next = static_cast<std::size_t>(pos_of_[s]) + 1;
-  if (next < list.size()) f(list[next], 0.0);
-  for (graph::NodeId v : ops_[s]) {
-    for (graph::EdgeId e : cg_.out_edges(v)) {
-      const int sv = node_stage_[static_cast<std::size_t>(g.edge(e).dst)];
-      if (sv >= 0 && sv != sid) f(sv, edge_transfer_[static_cast<std::size_t>(e)]);
-    }
-  }
 }
 
 bool ScheduleState::run_eval() {

@@ -20,12 +20,9 @@
 //     timing instead: it re-times only the stages whose finish the merge
 //     moves, in committed topological-rank order, and gives up as soon as
 //     the bound is out of reach;
-//   * stage-to-stage reachability (the condensed graph of Alg. 2) is
-//     maintained by an incremental transitive-closure update on commit
-//     instead of an O(S^2)-ish rebuild — merging pairwise-independent
-//     stages adds exactly the paths {x ->* s_i} x {s_j ->* y}, so
-//     reach[s] |= U (U = union of the members' reach sets) for every s
-//     reaching any member covers the new closure (see DESIGN.md §6d).
+//   * stage independence (Alg. 2's window test) is a search over data
+//     successors from the lower-ranked stage, cut off at the other one's
+//     committed rank, instead of a stage-by-stage closure (DESIGN.md §6d).
 //
 // Evaluation is bit-identical to sched::evaluate_schedule /
 // evaluate_partial_schedule (the retained reference implementation): the
@@ -42,7 +39,6 @@
 #include "graph/compiled_graph.h"
 #include "sched/evaluate.h"
 #include "sched/schedule.h"
-#include "util/bitset.h"
 
 namespace hios::sched {
 
@@ -106,18 +102,17 @@ class ScheduleState {
   void apply_merge(int gpu, int pos, int extent);
   /// Reverts the pending merge, restoring the pre-apply state exactly.
   void undo_merge();
-  /// Makes the pending merge permanent and updates stage reachability and
-  /// the committed timing incrementally. The merged stages must have been
-  /// pairwise independent.
+  /// Makes the pending merge permanent and updates the committed timing
+  /// incrementally.
   void commit_merge();
 
   /// True when neither alive stage reaches the other through data edges
-  /// (the condensed-graph independence test of Alg. 2). Ignores any
-  /// pending merge: query before apply_merge().
-  bool stages_independent(int a, int b) const {
-    return a != b && !reach_[static_cast<std::size_t>(a)].test(static_cast<std::size_t>(b)) &&
-           !reach_[static_cast<std::size_t>(b)].test(static_cast<std::size_t>(a));
-  }
+  /// (the condensed-graph independence test of Alg. 2); query with no merge
+  /// pending. A search bounded by the committed ranks, unbounded without
+  /// them; false for every pair when the loaded stage data graph is cyclic.
+  bool stages_independent(int a, int b) const;
+  /// Stages expanded by stages_independent() since load(): its locality.
+  std::size_t stages_searched() const { return stages_searched_; }
 
   /// Materialises the current state as a plain Schedule.
   Schedule extract() const;
@@ -132,7 +127,7 @@ class ScheduleState {
     std::vector<int> removed;      ///< merged-away stage ids, window order
   };
 
-  void rebuild_reach();
+  bool data_acyclic();  ///< Kahn pass over the stages' data edges alone
   bool run_eval();  ///< fills start_/finish_/latency_; false on deadlock
 
   // Change propagation over the committed timing (see improves_on()).
@@ -149,6 +144,9 @@ class ScheduleState {
   /// 0) and every data successor of `sid`, repeats included.
   template <typename F>
   void for_each_successor(int sid, F&& f) const;
+  /// The data successors alone, as for_each_successor() visits them.
+  template <typename F>
+  void for_each_data_successor(int sid, F&& f) const;
 
   const graph::CompiledGraph& cg_;
   const cost::CostModel& cost_;
@@ -162,7 +160,7 @@ class ScheduleState {
   std::vector<int> pos_of_;                      ///< stable id -> position (-1 dead)
   std::vector<int> node_stage_;                  ///< node -> stable id (-1 absent)
 
-  std::vector<DynBitset> reach_;                 ///< data-edge reachability, stable ids
+  bool data_cyclic_ = false;                     ///< load()'s stage data graph has a cycle
   std::optional<PendingMerge> pending_;
 
   // Hoisted cost-model queries. GPU assignments never change between
@@ -189,6 +187,10 @@ class ScheduleState {
   std::vector<int> rank_, at_rank_;
   std::vector<uint64_t> queued_;
   std::size_t stages_retimed_ = 0;
+  // stages_independent() scratch; its own generation leaves scored_.gen valid.
+  mutable std::vector<int> seen_, search_;
+  mutable int seen_gen_ = 0;
+  mutable std::size_t stages_searched_ = 0;
   // The last improves_on() that ran to completion: its merge, its latency
   // and the mark generation under which finish_ holds its re-timed stages
   // (every writer of finish_ bumps mark_gen_). Committing that same merge

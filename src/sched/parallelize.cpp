@@ -39,13 +39,12 @@ ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
       for (int extent = 1; pos + extent < state.stage_count(gpu); ++extent) {
         total_ops += state.stage_ops(state.stage_at(gpu, pos + extent)).size();
         if (total_ops > static_cast<std::size_t>(window)) break;
-        // All stages in the window must be pairwise independent.
+        // All stages in the window must be pairwise independent; the pairs
+        // without the new stage passed at the smaller extents.
+        const int added = state.stage_at(gpu, pos + extent);
         bool ok = true;
-        for (int a = pos; a < pos + extent && ok; ++a) {
-          for (int b = a + 1; b <= pos + extent && ok; ++b) {
-            ok = state.stages_independent(state.stage_at(gpu, a), state.stage_at(gpu, b));
-          }
-        }
+        for (int a = pos; a < pos + extent && ok; ++a)
+          ok = state.stages_independent(state.stage_at(gpu, a), added);
         if (!ok) break;  // dependency blocks this and any larger window
         ++result.candidates_tried;
 
@@ -70,6 +69,7 @@ ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
   result.schedule = state.extract();
   result.latency_ms = latency;
   result.stages_retimed = state.stages_retimed();
+  result.stages_searched = state.stages_searched();
   return result;
 }
 

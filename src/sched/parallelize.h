@@ -14,7 +14,7 @@
 //  * Windows advance over *stages*: once ops are grouped the group acts as
 //    one unit, and a window never splits an existing group. The total op
 //    count of a candidate stage is capped at `w`.
-//  * Independence is checked with full reachability on the current merged
+//  * Independence is exact data-edge reachability on the current merged
 //    graph, which subsumes the paper's cycle test (merging pairwise
 //    order-independent nodes cannot create a cycle); the evaluator still
 //    guards against execution-order deadlocks.
@@ -23,10 +23,10 @@
 // sched::ScheduleState with the apply -> evaluate -> undo | commit
 // protocol — no Schedule deep copies, no from-scratch re-evaluation (each
 // candidate re-times only the stages whose finish it moves, and stops once
-// it cannot beat the best so far), and stage reachability is maintained
-// incrementally across commits. Callers that already hold a CompiledGraph
-// (HIOS-LP / HIOS-MR) pass it in so the priority order is computed once per
-// schedule() call, not again here.
+// it cannot beat the best so far), and independence is a search bounded
+// by the committed topological ranks, local to the window. Callers that
+// already hold a CompiledGraph (HIOS-LP / HIOS-MR) pass it in so the
+// priority order is computed once per schedule() call, not again here.
 #pragma once
 
 #include "cost/cost_model.h"
@@ -45,6 +45,8 @@ struct ParallelizeResult {
   /// stages_retimed()); a full pass per candidate would cost candidates x
   /// alive stages.
   std::size_t stages_retimed = 0;
+  /// ScheduleState::stages_searched(): ~1 per candidate when searches stay local.
+  std::size_t stages_searched = 0;
 };
 
 /// Runs Alg. 2 on a pre-compiled graph (the priority order is taken from

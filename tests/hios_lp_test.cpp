@@ -1,6 +1,7 @@
 // Tests for HIOS-LP (Alg. 1 + Alg. 2) and its inter-GPU-only ablation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "cost/table_model.h"
@@ -11,6 +12,7 @@
 #include "sched/evaluate.h"
 #include "sched/hios_lp.h"
 #include "sched/list_schedule.h"
+#include "sched/parallelize.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
 
@@ -213,6 +215,30 @@ TEST(HiosLp, Alg1WalksFarFewerPositionsThanFullPasses) {
   const auto suffix = static_cast<double>(r.suffix_ranks);
   EXPECT_LE(static_cast<double>(r.ranks_walked), 0.75 * suffix)
       << "ratio " << static_cast<double>(r.ranks_walked) / suffix;
+}
+
+TEST(HiosLp, Fig14RegressionDagOutcomesAndWorkCeilings) {
+  // The 512-op / 4-GPU DAG of bench_fig14_sched_cost's wall-clock check,
+  // gated on machine-independent numbers: Alg. 2's outcome is pinned
+  // exactly, and each work counter may not rise above its current value.
+  models::RandomDagParams p;
+  p.num_ops = 512;
+  p.num_layers = 22;
+  p.num_deps = 1024;
+  p.seed = 7;
+  const graph::Graph g = models::random_dag(p);
+  const SchedulerConfig config = gpus(4);
+  const LongestPathMapping alg1 = longest_path_mapping(graph::CompiledGraph(g), 4, kCost);
+  const ParallelizeResult alg2 =
+      parallelize(g, alg1.schedule, kCost, std::min(config.window, config.max_streams));
+  EXPECT_EQ(alg2.candidates_tried, 443);
+  EXPECT_EQ(alg2.latency_ms, 265.17012949472746);
+  EXPECT_EQ(make_scheduler("hios-lp")->schedule(g, kCost, config).latency_ms,
+            265.17012949472746);
+  EXPECT_LE(alg1.positions_visited, 20872u);
+  EXPECT_LE(alg1.ranks_walked, 146753u);
+  EXPECT_LE(alg2.stages_retimed, 18073u);
+  EXPECT_LE(alg2.stages_searched, 475u);
 }
 
 }  // namespace

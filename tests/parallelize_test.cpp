@@ -303,5 +303,25 @@ TEST(Parallelize, RetimesFarFewerStagesThanFullPasses) {
       << "ratio " << static_cast<double>(r.stages_retimed) / full_passes;
 }
 
+TEST(Parallelize, IndependenceSearchStaysLocal) {
+  // The window test searches data successors only up to the other stage's
+  // committed rank, so it expands about one stage per candidate; a search
+  // without that cut-off walks hundreds per candidate on this DAG.
+  models::RandomDagParams p;
+  p.num_ops = 1024;
+  p.num_deps = 2048;
+  p.num_layers = 32;
+  p.seed = 1;
+  const graph::Graph g = models::random_dag(p);
+  SchedulerConfig config;
+  config.num_gpus = 4;
+  const Schedule placed = make_scheduler("inter-lp")->schedule(g, kCost, config).schedule;
+  const ParallelizeResult r = parallelize(g, placed, kCost, config.window);
+  ASSERT_GT(r.candidates_tried, 500);
+  EXPECT_LE(r.stages_searched, 2u * static_cast<std::size_t>(r.candidates_tried))
+      << "stages per candidate "
+      << static_cast<double>(r.stages_searched) / static_cast<double>(r.candidates_tried);
+}
+
 }  // namespace
 }  // namespace hios::sched

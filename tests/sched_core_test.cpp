@@ -414,6 +414,92 @@ TEST(SchedCore, CommittedReachMatchesFreshRebuild) {
   EXPECT_GT(commits, 30);
 }
 
+/// Stage independence from scratch: data-edge reachability on the condensed
+/// graph of `s`, stages numbered GPU-major. Nullopt when that graph is
+/// cyclic, where every pair counts as dependent.
+std::optional<std::vector<DynBitset>> condensed_reach(const graph::Graph& g, const Schedule& s) {
+  graph::Graph condensed("stages");
+  std::vector<int> stage_of(g.num_nodes(), -1);
+  for (const auto& stages : s.gpus) {
+    for (const Stage& stage : stages) {
+      const int id = static_cast<int>(condensed.num_nodes());
+      condensed.add_node(std::to_string(id));
+      for (graph::NodeId v : stage.ops) stage_of[static_cast<std::size_t>(v)] = id;
+    }
+  }
+  for (const graph::Edge& e : g.edges()) {
+    const int a = stage_of[static_cast<std::size_t>(e.src)];
+    const int b = stage_of[static_cast<std::size_t>(e.dst)];
+    if (a >= 0 && b >= 0 && a != b && condensed.find_edge(a, b) < 0) condensed.add_edge(a, b);
+  }
+  if (!graph::is_dag(condensed)) return std::nullopt;
+  return graph::reachability(condensed);
+}
+
+/// Checks stages_independent() on every alive stage pair against
+/// condensed_reach() of the extracted schedule. Returns the pairs checked.
+int expect_independence_matches_oracle(const graph::Graph& g, const ScheduleState& state) {
+  const auto reach = condensed_reach(g, state.extract());
+  std::vector<int> ids;  // GPU-major, as condensed_reach() numbers them
+  for (int gpu = 0; gpu < state.num_gpus(); ++gpu)
+    for (int pos = 0; pos < state.stage_count(gpu); ++pos) ids.push_back(state.stage_at(gpu, pos));
+  int pairs = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      const bool want =
+          reach.has_value() && graph::independent(*reach, static_cast<graph::NodeId>(i),
+                                                  static_cast<graph::NodeId>(j));
+      EXPECT_EQ(state.stages_independent(ids[i], ids[j]), want) << "stages " << i << ", " << j;
+      ++pairs;
+    }
+  }
+  return pairs;
+}
+
+TEST(SchedCore, StagesIndependentMatchesCondensedReachability) {
+  std::mt19937_64 rng(0x5EA4C);
+  int pairs = 0, feasible = 0, deadlocked = 0, cyclic = 0, commits = 0;
+  for (int iter = 0; iter < 150; ++iter) {
+    const graph::Graph g = make_dag(rng);
+    const int m = 1 + static_cast<int>(rng() % 4);
+    const cost::TableCostModel cost;
+    const auto reach = graph::reachability(g);
+    // Feasible, permuted-order (often chain-deadlocked), and heavily grouped
+    // loads; grouping across GPUs can make the stage data graph cyclic.
+    ScheduleOpts opts;
+    opts.shuffle = iter % 3 == 1;
+    opts.group_prob = iter % 3 == 2 ? 0.9 : 0.4;
+    const Schedule s = random_schedule(g, reach, m, rng, opts);
+
+    const graph::CompiledGraph cg(g);
+    ScheduleState state(cg, cost);
+    state.load(s);
+    pairs += expect_independence_matches_oracle(g, state);  // before any evaluation
+    if (!condensed_reach(g, s).has_value()) {
+      ++cyclic;
+      continue;
+    }
+    (state.evaluate_latency().has_value() ? feasible : deadlocked) += 1;
+    pairs += expect_independence_matches_oracle(g, state);
+
+    for (int round = 0; round < 5; ++round) {
+      std::optional<Window> w;
+      for (int attempt = 0; attempt < 16 && !w.has_value(); ++attempt)
+        w = random_window(state, rng);
+      if (!w.has_value()) break;
+      state.apply_merge(w->gpu, w->pos, w->extent);
+      state.commit_merge();
+      ++commits;
+      pairs += expect_independence_matches_oracle(g, state);
+    }
+  }
+  EXPECT_GT(pairs, 200000);
+  EXPECT_GT(feasible, 80);
+  EXPECT_GT(deadlocked, 10);
+  EXPECT_GT(cyclic, 10);
+  EXPECT_GT(commits, 300);
+}
+
 TEST(SchedCore, ListStateMatchesFromScratchPass) {
   std::mt19937_64 rng(0x11157);
   for (int iter = 0; iter < 60; ++iter) {
