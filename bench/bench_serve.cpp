@@ -1,7 +1,7 @@
 // Serving-layer benchmark: stream-slot throughput scaling + schedule cache
-// + degraded-mode recovery (DESIGN.md §6f).
+// + degraded-mode recovery + run_trace cost scaling (DESIGN.md §6f).
 //
-// Three acceptance gates (DESIGN.md §6e/§6f), enforced with --assert:
+// Four acceptance gates (DESIGN.md §6e/§6f), enforced with --assert:
 //   1. Throughput: at 4 GPUs x 4 stream slots a saturated request stream
 //      must sustain >= 4x the single-request throughput of the same
 //      schedule (with request_demand = 0.2, four in-flight requests fit
@@ -16,6 +16,9 @@
 //      contention slack, the recovered phase must regain >= 0.9x steady
 //      throughput, and no request may pay a cold reschedule (plan-pool
 //      misses == 0).
+//   4. run_trace scaling: with hedging on, the serving loop's wall clock
+//      per request at 40k requests must stay within 3x of its cost at 5k
+//      (a per-dispatch cost that grows with trace length fails it).
 // Flags: --smoke (fewer requests), --assert (exit 1 when a gate fails),
 //        --json P (write the phase/throughput report as JSON to P),
 //        --threads N (pool lanes for PlanPool::prewarm's concurrent builds;
@@ -308,11 +311,76 @@ bool degraded_recovery(int num_requests, bool enforce, Json& doc) {
   return ok || !enforce;
 }
 
+// Wall clock of Server::run_trace per request at two trace lengths, hedging
+// on: the hedge trigger reads a running p99 on every dispatch, so any
+// per-dispatch cost that grows with history shows up as a ratio above 1.
+bool run_trace_scaling(bool enforce, Json& doc) {
+  bench::print_header("run_trace scaling",
+                      "SqueezeNet + ResNet-50, 4 GPUs, 2 ms mean gap, 20 ms deadline, "
+                      "hedge_multiplier 0.99, no engine; median of 3 runs per size");
+  serve::ServerOptions opt;
+  opt.platform = cost::make_a40_server(4);
+  opt.use_engine = false;
+  opt.hedge_multiplier = 0.99;
+  serve::Server server(opt);
+  server.register_model("squeezenet", models::make_squeezenet());
+  server.register_model("resnet50", models::make_resnet50());
+
+  auto trace_of = [](int num_requests) {
+    serve::TraceParams params;
+    params.models = {"squeezenet", "resnet50"};
+    params.num_requests = num_requests;
+    params.mean_interarrival_ms = 2.0;
+    params.deadline_slack_ms = 20.0;
+    return serve::Trace::random(params, 11);
+  };
+  // Warm-up: builds both plans, so no timed run pays a cold schedule.
+  server.run_trace(trace_of(5000));
+
+  constexpr int kSizes[2] = {5000, 40000};
+  constexpr int kRuns = 3;
+  double us_per_req[2] = {0.0, 0.0};
+  TextTable table;
+  table.set_header({"requests", "median_run_ms", "us_per_req", "hedged"});
+  Json j = Json::object();
+  for (int s = 0; s < 2; ++s) {
+    const serve::Trace trace = trace_of(kSizes[s]);
+    std::vector<double> run_ms;
+    std::size_t hedged = 0;
+    for (int r = 0; r < kRuns; ++r) {
+      const double t0 = now_ms();
+      const serve::ServeReport report = server.run_trace(trace);
+      run_ms.push_back(now_ms() - t0);
+      hedged = 0;
+      for (const serve::Response& resp : report.responses) hedged += resp.hedged ? 1 : 0;
+    }
+    const double median_ms = percentile(run_ms, 0.5);
+    us_per_req[s] = 1000.0 * median_ms / kSizes[s];
+    table.add_row({std::to_string(kSizes[s]), TextTable::num(median_ms, 2),
+                   TextTable::num(us_per_req[s], 3), std::to_string(hedged)});
+    j["us_per_req_" + std::to_string(kSizes[s] / 1000) + "k"] = us_per_req[s];
+  }
+  bench::print_table(table, "serve_run_trace_scaling");
+  const double ratio = us_per_req[1] / us_per_req[0];
+  j["ratio_40k_over_5k"] = ratio;
+  doc["run_trace_scaling"] = std::move(j);
+
+  if (ratio > 3.0) {
+    std::fprintf(stderr,
+                 "FAIL: run_trace costs %.3f us/request at 40k vs %.3f at 5k (%.2fx > 3x)\n",
+                 us_per_req[1], us_per_req[0], ratio);
+    return !enforce;
+  }
+  std::printf("scaling gate passed: %.3f us/request at 40k = %.2fx the cost at 5k\n\n",
+              us_per_req[1], ratio);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   ArgParser args("Serving layer: stream-slot throughput scaling, schedule-cache cost, "
-                 "and degraded-mode recovery");
+                 "degraded-mode recovery, and run_trace cost scaling");
   args.add_flag("smoke", "false", "fewer requests (CI regime)")
       .add_flag("assert", "false", "exit 1 when an acceptance gate fails")
       .add_flag("json", "", "write the phase/throughput report as JSON to this path")
@@ -329,6 +397,7 @@ int main(int argc, char** argv) {
   ok = cache_cost(enforce) && ok;
   ok = prewarm_cost(enforce, doc) && ok;
   ok = degraded_recovery(smoke ? 96 : 256, enforce, doc) && ok;
+  ok = run_trace_scaling(enforce, doc) && ok;
 
   const std::string json_path = args.get("json");
   if (!json_path.empty()) {

@@ -291,7 +291,7 @@ ServeReport Server::run_trace(const Trace& trace) {
     }
   };
   std::set<Entry> pending;
-  std::vector<double> duration_samples;  ///< committed dispatch durations
+  StreamingPercentile duration_p99(0.99);  ///< over committed dispatch durations
 
   auto free_lane = [&](int exclude) -> int {
     int best = -1;
@@ -432,9 +432,8 @@ ServeReport Server::run_trace(const Trace& trace) {
       // wins when its lane has drained enough that its (later) start pays
       // a smaller contention scale.
       if (options_.hedge_multiplier > 0.0 && lanes > 1 &&
-          static_cast<int>(duration_samples.size()) >= options_.hedge_min_samples &&
-          duration >
-              options_.hedge_multiplier * percentile(duration_samples, 0.99)) {
+          static_cast<int>(duration_p99.size()) >= options_.hedge_min_samples &&
+          duration > options_.hedge_multiplier * duration_p99.value()) {
         const int lane2 = free_lane(lane);
         const double start2 =
             std::max(lane_free[static_cast<std::size_t>(lane2)], start);
@@ -459,7 +458,7 @@ ServeReport Server::run_trace(const Trace& trace) {
           }
         }
       }
-      duration_samples.push_back(duration);
+      duration_p99.push(duration);
     }
   };
 

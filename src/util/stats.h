@@ -1,10 +1,13 @@
-// Streaming statistics (Welford) and small aggregation helpers used by the
-// benchmark harnesses to report mean ± stddev over random instances.
+// Streaming statistics (Welford mean/variance, exact running quantile) and
+// small aggregation helpers: mean ± stddev over random bench instances,
+// sample percentiles for serving metrics, and the serving hedge trigger.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <vector>
 
 #include "util/error.h"
@@ -38,17 +41,76 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
+/// Rank of the lower order statistic the q-quantile of n values reads:
+/// lo = floor(q * (n - 1)).
+inline std::size_t quantile_rank(std::size_t n, double q) {
+  return static_cast<std::size_t>(q * static_cast<double>(n - 1));
+}
+
+/// The q-quantile of n values by linear interpolation between the order
+/// statistics at ranks lo = quantile_rank(n, q) and lo + 1 (lo alone when
+/// lo = n - 1). `at(i)` returns the i-th smallest value; only those two
+/// ranks are read, so a sorted vector and a two-heap split both serve.
+template <class At>
+double interpolate_quantile(const At& at, std::size_t n, double q) {
+  const double pos = q * static_cast<double>(n - 1);
+  const std::size_t lo = quantile_rank(n, q);
+  const std::size_t hi = std::min(lo + 1, n - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return at(lo) * (1.0 - frac) + at(hi) * frac;
+}
+
 /// Percentile of a sample (linear interpolation); q in [0,1].
 inline double percentile(std::vector<double> xs, double q) {
   HIOS_CHECK(!xs.empty(), "percentile of empty sample");
   HIOS_CHECK(q >= 0.0 && q <= 1.0, "percentile q out of range: " << q);
   std::sort(xs.begin(), xs.end());
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  return interpolate_quantile([&](std::size_t i) { return xs[i]; }, xs.size(), q);
 }
+
+/// Exact running q-quantile of a stream, O(log n) per push and bit-equal
+/// to percentile() of every value pushed so far. Two heaps split the
+/// stream at rank lo = quantile_rank(n, q): `below_` (a max-heap) holds
+/// the lo + 1 smallest values, `above_` (a min-heap) the rest, so their
+/// tops are exactly the two order statistics the interpolation reads.
+class StreamingPercentile {
+ public:
+  explicit StreamingPercentile(double q) : q_(q) {
+    HIOS_CHECK(q >= 0.0 && q <= 1.0, "percentile q out of range: " << q);
+  }
+
+  void push(double x) {
+    if (below_.empty() || x <= below_.top()) {
+      below_.push(x);
+    } else {
+      above_.push(x);
+    }
+    // lo moves by 0 or 1 per push, so this moves at most one value.
+    const std::size_t want = quantile_rank(size(), q_) + 1;
+    while (below_.size() > want) {
+      above_.push(below_.top());
+      below_.pop();
+    }
+    while (below_.size() < want) {
+      below_.push(above_.top());
+      above_.pop();
+    }
+  }
+
+  std::size_t size() const { return below_.size() + above_.size(); }
+
+  double value() const {
+    HIOS_CHECK(size() > 0, "percentile of empty sample");
+    return interpolate_quantile(
+        [&](std::size_t i) { return i < below_.size() ? below_.top() : above_.top(); },
+        size(), q_);
+  }
+
+ private:
+  double q_;
+  std::priority_queue<double> below_;
+  std::priority_queue<double, std::vector<double>, std::greater<double>> above_;
+};
 
 /// Tail-latency summary of a latency sample (serving metrics, benches).
 struct QuantileSummary {
@@ -68,10 +130,13 @@ inline QuantileSummary summarize_quantiles(const std::vector<double>& xs) {
   double sum = 0.0;
   for (double x : xs) sum += x;
   q.mean = sum / static_cast<double>(xs.size());
-  q.p50 = percentile(xs, 0.50);
-  q.p95 = percentile(xs, 0.95);
-  q.p99 = percentile(xs, 0.99);
-  q.max = *std::max_element(xs.begin(), xs.end());
+  std::vector<double> sorted = xs;
+  std::sort(sorted.begin(), sorted.end());
+  const auto at = [&](std::size_t i) { return sorted[i]; };
+  q.p50 = interpolate_quantile(at, sorted.size(), 0.50);
+  q.p95 = interpolate_quantile(at, sorted.size(), 0.95);
+  q.p99 = interpolate_quantile(at, sorted.size(), 0.99);
+  q.max = sorted.back();
   return q;
 }
 

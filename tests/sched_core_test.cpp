@@ -391,8 +391,9 @@ TEST(SchedCore, CommittedReachMatchesFreshRebuild) {
       }
       if (!merged) break;
 
-      // The incrementally maintained closure must agree with a from-scratch
-      // rebuild on the extracted schedule, for every alive stage pair.
+      // Independence answered from the committed rank order must agree with
+      // a from-scratch load of the extracted schedule, for every alive
+      // stage pair.
       ScheduleState fresh(cg, cost);
       const Schedule cur = state.extract();
       fresh.load(cur);

@@ -4,9 +4,15 @@
 // time, so thread scheduling, machine load, and rerun count cannot leak in.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "fault/fault_plan.h"
 #include "models/examples.h"
+#include "models/resnet.h"
+#include "models/squeezenet.h"
 #include "serve/server.h"
+#include "util/thread_pool.h"
 
 namespace hios::serve {
 namespace {
@@ -133,6 +139,74 @@ TEST(ServeReplay, ThreadCountCannotLeakIntoMetrics) {
   const ReplayResult a = serve_once(sim, trace);
   const ReplayResult b = serve_once(engine, trace);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
+}
+
+struct HedgedRun {
+  std::string metrics_json;
+  Metrics::Snapshot snapshot;
+  uint64_t response_hash = 0;
+};
+
+/// FNV-1a over each response's (verdict, lane, start_ms, finish_ms) bytes.
+uint64_t hash_responses(const std::vector<Response>& responses) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Response& r : responses) {
+    const int verdict = static_cast<int>(r.verdict);
+    mix(&verdict, sizeof verdict);
+    mix(&r.lane, sizeof r.lane);
+    mix(&r.start_ms, sizeof r.start_ms);
+    mix(&r.finish_ms, sizeof r.finish_ms);
+  }
+  return h;
+}
+
+/// Two real CNNs on 4 GPUs with a mid-trace outage and the hedge trigger
+/// on: every dispatch past the warm-up reads the running p99.
+HedgedRun serve_hedged(int threads) {
+  util::ScopedThreads pool(threads);
+  ServerOptions opt;
+  opt.platform = cost::make_a40_server(4);
+  opt.use_engine = false;
+  opt.outages.push_back(GpuOutage{0, 1000.0, 2000.0});
+  opt.hedge_multiplier = 0.99;
+  Server server(opt);
+  server.register_model("squeezenet", models::make_squeezenet());
+  server.register_model("resnet50", models::make_resnet50());
+
+  TraceParams params;
+  params.models = {"squeezenet", "resnet50"};
+  params.num_requests = 2000;
+  params.mean_interarrival_ms = 2.0;
+  params.deadline_slack_ms = 20.0;
+  const ServeReport report = server.run_trace(Trace::random(params, 4242));
+  HedgedRun out;
+  out.metrics_json = report.metrics.dump();
+  out.snapshot = server.metrics().snapshot();
+  out.response_hash = hash_responses(report.responses);
+  return out;
+}
+
+TEST(ServeReplay, HedgedTraceIsByteIdentical) {
+  const HedgedRun a = serve_hedged(1);
+  const HedgedRun b = serve_hedged(1);
+  const HedgedRun c = serve_hedged(8);
+  EXPECT_EQ(a.metrics_json, b.metrics_json);
+  EXPECT_EQ(a.metrics_json, c.metrics_json);
+  EXPECT_EQ(a.response_hash, b.response_hash);
+  EXPECT_EQ(a.response_hash, c.response_hash);
+  // Pinned: the hedge trigger's decisions and every response's placement
+  // must not move when the running p99 changes implementation.
+  EXPECT_EQ(a.snapshot.hedged, 671);
+  EXPECT_EQ(a.snapshot.hedge_won, 0);
+  EXPECT_EQ(a.snapshot.retried, 0);
+  EXPECT_EQ(a.response_hash, 13832109692724739846ull);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for util: rng, stats, bitset, args, table, errors.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "util/args.h"
@@ -147,6 +148,45 @@ TEST(Stats, PercentileInterpolates) {
 TEST(Stats, PercentileRejectsBadInput) {
   EXPECT_THROW(percentile({}, 0.5), Error);
   EXPECT_THROW(percentile({1.0}, 1.5), Error);
+}
+
+TEST(Stats, StreamingPercentileMatchesSortedPercentile) {
+  constexpr int kMaxN = 5000;
+  const std::vector<double> qs{0.0, 0.5, 0.99, 1.0};
+  Rng rng(77);
+  std::vector<std::pair<std::string, std::vector<double>>> sequences(4);
+  sequences[0].first = "random";
+  sequences[1].first = "levels";  // few distinct values, as dispatch durations are
+  sequences[2].first = "ascending";
+  sequences[3].first = "descending";
+  const std::vector<double> levels{0.9767, 4.8671, 5.1053, 6.5636};
+  for (int i = 0; i < kMaxN; ++i) {
+    sequences[0].second.push_back(rng.uniform(0.1, 20.0));
+    sequences[1].second.push_back(levels[static_cast<std::size_t>(rng.uniform_int(0, 3))]);
+    sequences[2].second.push_back(0.25 * i + 1.0);
+    sequences[3].second.push_back(kMaxN - 0.5 * i);
+  }
+  for (const auto& [name, seq] : sequences) {
+    std::vector<StreamingPercentile> streams;
+    for (double q : qs) streams.emplace_back(q);
+    // percentile() sorts its copy anyway; keeping the prefix sorted only
+    // makes that sort cheap.
+    std::vector<double> prefix;
+    for (double x : seq) {
+      prefix.insert(std::upper_bound(prefix.begin(), prefix.end(), x), x);
+      for (std::size_t k = 0; k < qs.size(); ++k) {
+        streams[k].push(x);
+        ASSERT_EQ(streams[k].size(), prefix.size());
+        const double want = percentile(prefix, qs[k]);
+        const double got = streams[k].value();
+        ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+            << name << " n=" << prefix.size() << " q=" << qs[k] << ": " << got
+            << " != " << want;
+      }
+    }
+  }
+  EXPECT_THROW(StreamingPercentile(0.99).value(), Error);
+  EXPECT_THROW(StreamingPercentile(1.5), Error);
 }
 
 TEST(Stats, Geomean) {
