@@ -21,8 +21,9 @@
 //      (a per-dispatch cost that grows with trace length fails it).
 // Flags: --smoke (fewer requests), --assert (exit 1 when a gate fails),
 //        --json P (write the phase/throughput report as JSON to P),
-//        --threads N (pool lanes for PlanPool::prewarm's concurrent builds;
-//        0 = HIOS_NUM_THREADS, then hardware concurrency).
+//        --threads N (lanes for PlanPool::prewarm's concurrent builds, each
+//        call starting up to N - 1 threads; 0 = HIOS_NUM_THREADS, then
+//        hardware concurrency).
 #include <chrono>
 #include <fstream>
 
@@ -100,8 +101,7 @@ bool cache_cost(bool enforce) {
   sched::SchedulerConfig config;
   config.num_gpus = 4;
 
-  auto cold = cache.get(model, "hios-lp", config);
-  const double cold_ms = cold->build_ms;
+  const double cold_ms = cache.get(model, "hios-lp", config).plan->build_ms;
 
   constexpr int kWarmLookups = 1000;
   const double t0 = now_ms();
@@ -126,8 +126,8 @@ bool cache_cost(bool enforce) {
 }
 
 // Cold survivor prewarm: the current mask plus every single-GPU-down
-// subset (5 plans on a 4-GPU platform), built concurrently on the shared
-// pool. Reports wall clock cold and re-warm (everything cached) so the
+// subset (5 plans on a 4-GPU platform), built concurrently on the global
+// lane count. Reports wall clock cold and re-warm (everything cached) so the
 // cost of arming failover is visible per thread count.
 bool prewarm_cost(bool enforce, Json& doc) {
   bench::print_header("Survivor prewarm",
@@ -233,7 +233,7 @@ bool degraded_recovery(int num_requests, bool enforce, Json& doc) {
   const auto survivor = server.plan_pool().plan_for(model, 0b0111u, 0);
   sched::SchedulerConfig cfg = opt.config;
   cfg.num_gpus = opt.platform.num_gpus;
-  const auto full = server.cache().get(model, opt.algorithm, cfg);
+  const auto full = server.cache().get(model, opt.algorithm, cfg).plan;
   const double expected_ratio = full->latency_ms / survivor->latency_ms;
 
   TextTable table;
@@ -385,7 +385,7 @@ int main(int argc, char** argv) {
       .add_flag("assert", "false", "exit 1 when an acceptance gate fails")
       .add_flag("json", "", "write the phase/throughput report as JSON to this path")
       .add_flag("threads", "0",
-                "pool lanes for prewarm builds (0 = HIOS_NUM_THREADS, then hardware)");
+                "lanes for prewarm builds (0 = HIOS_NUM_THREADS, then hardware)");
   if (!args.parse(argc, argv)) return 0;
   const bool smoke = args.get_bool("smoke");
   const bool enforce = args.get_bool("assert");

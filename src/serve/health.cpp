@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "serve/request.h"
 #include "util/error.h"
 
 namespace hios::serve {
@@ -234,7 +235,7 @@ HealthState HealthTracker::link_state(int a, int b) const {
 }
 
 bool HealthTracker::all_up() const {
-  return up_mask_ == (num_gpus() >= 32 ? 0xFFFFFFFFu : (1u << num_gpus()) - 1u);
+  return up_mask_ == gpu_width_mask(num_gpus(), "HealthTracker: num_gpus");
 }
 
 Json HealthTracker::to_json() const {

@@ -58,9 +58,9 @@ void Metrics::on_hedge_won() {
   ++s_.hedge_won;
 }
 
-void Metrics::on_pool_result(bool hit) {
+void Metrics::on_pool_result(CacheOutcome outcome) {
   std::lock_guard<std::mutex> lock(mu_);
-  hit ? ++s_.pool_hits : ++s_.pool_misses;
+  outcome == CacheOutcome::kMiss ? ++s_.pool_misses : ++s_.pool_hits;
 }
 
 void Metrics::on_pool_prewarm(std::size_t cold_builds) {
@@ -85,10 +85,6 @@ void Metrics::on_failover(const runtime::RecoveryMetrics& recovery) {
   ++s_.failovers;
   if (recovery.recovered) ++s_.recovered;
   s_.reschedule_wall_ms += recovery.reschedule_wall_ms;
-}
-
-void Metrics::on_cache_result(bool hit) {
-  on_cache_result(hit ? CacheOutcome::kHit : CacheOutcome::kMiss);
 }
 
 void Metrics::on_cache_result(CacheOutcome outcome) {

@@ -13,6 +13,11 @@
 // deterministic-replay contract, DESIGN.md §6e). Wall-clock quantities
 // (scheduling cost of cold cache fills) are reported separately and
 // excluded from to_json.
+//
+// Metrics is the serving layer's only counter source for plan lookups:
+// the server reports each lookup's CacheOutcome once, to the cache counters
+// for a full-topology plan and to the pool counters for a survivor plan.
+// PlanPool keeps no counters of its own.
 #pragma once
 
 #include <cstdint>
@@ -52,17 +57,17 @@ class Metrics {
   void on_hedged();
   /// The hedge finished before the primary.
   void on_hedge_won();
-  void on_pool_result(bool hit);
+  /// A survivor-topology plan lookup: a miss paid a cold build on the
+  /// serving path; a hit or a coalesced lookup did not, and counts as a hit.
+  void on_pool_result(CacheOutcome outcome);
   void on_pool_prewarm(std::size_t cold_builds);
   void on_health_transition();
   void on_probe(bool success);
 
   // --- execution-path detail ------------------------------------------
   void on_failover(const runtime::RecoveryMetrics& recovery);
-  /// Legacy hit/miss view: a coalesced lookup reports as a hit.
-  void on_cache_result(bool hit);
-  /// Full outcome: every lookup lands in exactly one of hit / miss /
-  /// coalesced, pinned by Snapshot::conserved().
+  /// A full-topology plan lookup: every lookup lands in exactly one of
+  /// hit / miss / coalesced, pinned by Snapshot::conserved().
   void on_cache_result(CacheOutcome outcome);
   void set_queue_capacity(std::size_t capacity);
   void record_queue_depth(std::size_t depth);

@@ -1,78 +1,49 @@
 #include "serve/plan_pool.h"
 
+#include <atomic>
 #include <vector>
 
 #include "util/thread_pool.h"
 
 namespace hios::serve {
 
+PlanPool::PlanPool(ScheduleCache& cache, std::string algorithm,
+                   sched::SchedulerConfig config)
+    : cache_(cache),
+      algorithm_(std::move(algorithm)),
+      config_(std::move(config)),
+      width_mask_(gpu_width_mask(config_.num_gpus, "PlanPool: config.num_gpus")) {}
+
 std::shared_ptr<const CachedPlan> PlanPool::plan_for(const ops::Model& model,
                                                      uint32_t mask,
-                                                     uint64_t generation,
-                                                     bool* was_hit) {
-  bool hit = false;
-  auto plan = cache_.get(model, algorithm_, config_,
-                         TopologyVersion{mask, generation}, &hit);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (hit) {
-      ++hits_;
-    } else {
-      ++misses_;
-    }
-  }
-  if (was_hit != nullptr) *was_hit = hit;
-  return plan;
+                                                     uint64_t generation) {
+  return cache_.get(model, algorithm_, config_, TopologyVersion{mask, generation}).plan;
 }
 
 std::size_t PlanPool::prewarm(const ops::Model& model, uint32_t mask,
                               uint64_t generation) {
-  const int width = config_.num_gpus;
-  const uint32_t width_mask =
-      width >= 32 ? 0xFFFFFFFFu : (1u << static_cast<unsigned>(width)) - 1u;
-  const uint32_t current = mask & width_mask;
+  const uint32_t current = mask & width_mask_;
 
   std::vector<uint32_t> masks;
   auto enqueue = [&](uint32_t m) {
-    if ((m & width_mask) == 0) return;  // no survivor: nothing to plan
+    if (m == 0) return;  // no survivor: nothing to plan
     masks.push_back(m);
   };
   enqueue(current);
-  for (int g = 0; g < width; ++g) {
+  for (int g = 0; g < config_.num_gpus; ++g) {
     if (current & (1u << g)) enqueue(current & ~(1u << g));
   }
 
   // The masks are distinct cache keys, so their cold builds are
-  // independent; run them on the shared pool. Repeat masks across
-  // concurrent prewarms coalesce inside the cache (single-flight), so no
-  // schedule is computed twice.
-  std::vector<char> cold(masks.size(), 0);
+  // independent; fan them out. Repeat masks across concurrent prewarms
+  // coalesce inside the cache (single-flight), so no schedule is computed
+  // twice.
+  std::atomic<std::size_t> builds{0};
   util::global_pool().parallel_for(masks.size(), [&](std::size_t i) {
-    bool hit = false;
-    cache_.get(model, algorithm_, config_, TopologyVersion{masks[i], generation}, &hit);
-    cold[i] = hit ? 0 : 1;
+    const TopologyVersion topo{masks[i], generation};
+    if (cache_.get(model, algorithm_, config_, topo).outcome == CacheOutcome::kMiss) ++builds;
   });
-  std::size_t builds = 0;
-  for (char c : cold) builds += static_cast<std::size_t>(c);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  prewarm_builds_ += builds;
   return builds;
-}
-
-std::size_t PlanPool::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::size_t PlanPool::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-std::size_t PlanPool::prewarm_builds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return prewarm_builds_;
 }
 
 }  // namespace hios::serve

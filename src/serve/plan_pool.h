@@ -20,12 +20,12 @@
 // prewarmed keys; a link transition bumps the generation, and the pool
 // repopulates from scratch on the next prewarm.
 //
-// Thread-safe: counters under a mutex, plan builds delegated to the
-// (locking) ScheduleCache.
+// Stateless: the pool holds no lock and no counters. Plan builds and their
+// hit / miss / coalesced counts live in the (locking) ScheduleCache, and the
+// server records serving counters in serve::Metrics, the one counter source.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "ops/model.h"
@@ -37,37 +37,27 @@ namespace hios::serve {
 /// Plan-pool policy over a ScheduleCache (see file comment).
 class PlanPool {
  public:
-  PlanPool(ScheduleCache& cache, std::string algorithm, sched::SchedulerConfig config)
-      : cache_(cache), algorithm_(std::move(algorithm)), config_(std::move(config)) {}
+  /// Throws hios::Error unless config.num_gpus is in [1, 32].
+  PlanPool(ScheduleCache& cache, std::string algorithm, sched::SchedulerConfig config);
 
   /// The plan for the survivor set `mask` under link generation
   /// `generation`; builds cold iff nothing warmed it first.
   std::shared_ptr<const CachedPlan> plan_for(const ops::Model& model, uint32_t mask,
-                                             uint64_t generation,
-                                             bool* was_hit = nullptr);
+                                             uint64_t generation);
 
   /// Ensures warm plans for `mask` and every single-GPU-down subset of it
   /// (skipping subsets with no survivor). The masks are distinct cache
-  /// keys, so the cold builds run concurrently on the shared thread pool
-  /// (util::global_pool()), one serial scheduler pass per mask. Returns
-  /// how many cold builds this call performed (0 = everything was already
-  /// warm; a build coalesced with another caller's in-flight build does not
-  /// count).
+  /// keys, so the cold builds run concurrently on util::global_pool()'s
+  /// lanes, one serial scheduler pass per mask. Returns how many cold
+  /// builds this call performed (0 = everything was already warm; a build
+  /// coalesced with another caller's in-flight build does not count).
   std::size_t prewarm(const ops::Model& model, uint32_t mask, uint64_t generation);
-
-  std::size_t hits() const;
-  std::size_t misses() const;
-  /// Cold builds performed by prewarm() calls (as opposed to on-path).
-  std::size_t prewarm_builds() const;
 
  private:
   ScheduleCache& cache_;
   std::string algorithm_;
   sched::SchedulerConfig config_;
-  mutable std::mutex mu_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-  std::size_t prewarm_builds_ = 0;
+  uint32_t width_mask_;  ///< every GPU of the config.num_gpus-wide platform
 };
 
 }  // namespace hios::serve

@@ -7,6 +7,12 @@
 
 namespace hios::serve {
 
+uint32_t gpu_width_mask(int num_gpus, const char* what) {
+  HIOS_CHECK(num_gpus >= 1 && num_gpus <= 32,
+             what << " must be in [1, 32] (got " << num_gpus << ")");
+  return num_gpus == 32 ? kFullMask : (1u << num_gpus) - 1u;
+}
+
 const char* verdict_name(Verdict verdict) {
   switch (verdict) {
     case Verdict::kCompleted: return "completed";

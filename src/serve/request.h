@@ -26,6 +26,11 @@ inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 /// platform always use kFullMask regardless of num_gpus).
 inline constexpr uint32_t kFullMask = 0xFFFFFFFFu;
 
+/// Bit g set for every GPU g in [0, num_gpus). Throws hios::Error, prefixed
+/// with `what` (the caller and field), unless num_gpus is in [1, 32]: the
+/// widths a uint32_t mask can name.
+uint32_t gpu_width_mask(int num_gpus, const char* what);
+
 /// One inference request against a registered model.
 struct Request {
   RequestId id = -1;

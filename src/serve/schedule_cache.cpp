@@ -23,41 +23,14 @@ std::vector<int> survivor_gpus(uint32_t mask, int num_gpus) {
 }
 }  // namespace
 
-std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
-                                                     const std::string& algorithm,
-                                                     const sched::SchedulerConfig& config,
-                                                     bool* was_hit) {
-  return get(model, algorithm, config, TopologyVersion{}, was_hit);
-}
-
-std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
-                                                     const std::string& algorithm,
-                                                     const sched::SchedulerConfig& config,
-                                                     TopologyVersion topo,
-                                                     bool* was_hit) {
-  CacheOutcome outcome = CacheOutcome::kHit;
-  auto plan = get(model, algorithm, config, topo, &outcome);
-  // A coalesced lookup did not pay the build, so the legacy view reports it
-  // as a hit.
-  if (was_hit != nullptr) *was_hit = outcome != CacheOutcome::kMiss;
-  return plan;
-}
-
-std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
-                                                     const std::string& algorithm,
-                                                     const sched::SchedulerConfig& config,
-                                                     TopologyVersion topo,
-                                                     CacheOutcome* outcome) {
-  HIOS_CHECK(config.num_gpus >= 1 && config.num_gpus <= 32,
-             "ScheduleCache::get: config.num_gpus must be in [1, 32] (got "
-                 << config.num_gpus << ")");
-  const uint32_t width_mask = config.num_gpus >= 32
-                                  ? kFullMask
-                                  : (1u << config.num_gpus) - 1u;
+CacheLookup ScheduleCache::get(const ops::Model& model, const std::string& algorithm,
+                               const sched::SchedulerConfig& config, TopologyVersion topo) {
+  const uint32_t width_mask =
+      gpu_width_mask(config.num_gpus, "ScheduleCache::get: config.num_gpus");
   uint32_t mask = topo.mask & width_mask;
   HIOS_CHECK(mask != 0, "ScheduleCache::get: topology mask leaves no survivor GPU");
-  // Normalise: the full survivor set always keys as kFullMask, so the legacy
-  // overload and an explicit all-up mask share one entry.
+  // Normalise: the full survivor set always keys as kFullMask, so the
+  // default TopologyVersion and an explicit all-up mask share one entry.
   if (mask == width_mask) mask = kFullMask;
 
   const Key key{model.fingerprint(), config, mask, topo.generation, algorithm};
@@ -69,19 +42,16 @@ std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
     if (it != map_.end()) {
       if (it->second.plan != nullptr) {
         ++hits_;
-        if (outcome != nullptr) *outcome = CacheOutcome::kHit;
-        return it->second.plan;
+        return {it->second.plan, CacheOutcome::kHit};
       }
       // Another call is building this key right now: wait on its future
       // instead of scheduling the same model twice.
       ++coalesced_;
-      if (outcome != nullptr) *outcome = CacheOutcome::kCoalesced;
       auto pending = it->second.pending;
       lock.unlock();
-      return pending.get();  // rethrows the builder's exception, if any
+      return {pending.get(), CacheOutcome::kCoalesced};  // rethrows a failed build
     }
     ++misses_;
-    if (outcome != nullptr) *outcome = CacheOutcome::kMiss;
     map_.emplace(key, Slot{nullptr, promise.get_future().share()});
   }
 
@@ -102,10 +72,9 @@ std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
     Slot& slot = map_[key];
     slot.plan = plan;
     slot.pending = {};
-    build_ms_ += plan->build_ms;
   }
   promise.set_value(plan);
-  return plan;
+  return {plan, CacheOutcome::kMiss};
 }
 
 std::shared_ptr<const CachedPlan> ScheduleCache::build_plan(
@@ -162,11 +131,6 @@ std::size_t ScheduleCache::misses() const {
 std::size_t ScheduleCache::coalesced() const {
   std::lock_guard<std::mutex> lock(mu_);
   return coalesced_;
-}
-
-double ScheduleCache::total_build_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return build_ms_;
 }
 
 std::size_t ScheduleCache::size() const {

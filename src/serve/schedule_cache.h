@@ -33,6 +33,10 @@
 // future and builds; latecomers block on that future (a *coalesced*
 // lookup, counted separately from hits and misses). A failed build erases
 // the in-flight entry so the key can be retried.
+//
+// One lookup: get() returns the plan together with how the lookup was
+// satisfied (hit / miss / coalesced). The cache's own totals are
+// hits()/misses()/coalesced(); serving counters are serve::Metrics' job.
 #pragma once
 
 #include <future>
@@ -80,44 +84,31 @@ enum class CacheOutcome {
   kCoalesced,  ///< waited on a concurrent call's in-flight build
 };
 
+/// What one ScheduleCache lookup returned, and how it was satisfied.
+struct CacheLookup {
+  std::shared_ptr<const CachedPlan> plan;
+  CacheOutcome outcome = CacheOutcome::kHit;
+};
+
 /// Thread-safe (model, algorithm, SchedulerConfig, topology) -> plan cache.
 class ScheduleCache {
  public:
   explicit ScheduleCache(cost::Platform platform) : platform_(std::move(platform)) {}
 
-  /// Returns the plan for (model.fingerprint(), algorithm, config) on the
-  /// full topology. Equivalent to passing a default TopologyVersion below.
-  std::shared_ptr<const CachedPlan> get(const ops::Model& model,
-                                        const std::string& algorithm,
-                                        const sched::SchedulerConfig& config,
-                                        bool* was_hit = nullptr);
-
-  /// Topology-aware lookup: the plan is built on the survivor subset of the
-  /// platform named by `topo.mask` (restricted GPU count and interconnect),
-  /// and keyed additionally on `topo.generation`. config.num_gpus still
-  /// names the *full* platform width; the mask picks survivors out of it.
-  /// Misses build outside the lock with single-flight coalescing (see the
-  /// file comment). `was_hit`, when non-null, reports hit-or-not
-  /// (coalesced counts as a hit: this call did not pay the build).
-  std::shared_ptr<const CachedPlan> get(const ops::Model& model,
-                                        const std::string& algorithm,
-                                        const sched::SchedulerConfig& config,
-                                        TopologyVersion topo,
-                                        bool* was_hit = nullptr);
-
-  /// Same lookup, reporting the full outcome (hit / miss / coalesced).
-  std::shared_ptr<const CachedPlan> get(const ops::Model& model,
-                                        const std::string& algorithm,
-                                        const sched::SchedulerConfig& config,
-                                        TopologyVersion topo,
-                                        CacheOutcome* outcome);
+  /// The plan for (model.fingerprint(), algorithm, config) on the survivor
+  /// subset of the platform named by `topo.mask` (restricted GPU count and
+  /// interconnect), keyed additionally on `topo.generation`. The default
+  /// TopologyVersion is the full platform; a mask naming every GPU keys as
+  /// that same entry. config.num_gpus names the *full* platform width and
+  /// must be in [1, 32]; the mask picks survivors out of it. Misses build
+  /// outside the lock with single-flight coalescing (see the file comment).
+  CacheLookup get(const ops::Model& model, const std::string& algorithm,
+                  const sched::SchedulerConfig& config, TopologyVersion topo = {});
 
   std::size_t hits() const;
   std::size_t misses() const;
   /// Lookups that waited on another call's in-flight build.
   std::size_t coalesced() const;
-  /// Total wall clock spent on cold builds (profile + schedule).
-  double total_build_ms() const;
   std::size_t size() const;
 
   const cost::Platform& platform() const { return platform_; }
@@ -172,7 +163,6 @@ class ScheduleCache {
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t coalesced_ = 0;
-  double build_ms_ = 0.0;
 };
 
 }  // namespace hios::serve

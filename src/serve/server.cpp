@@ -123,19 +123,15 @@ const ops::Model& Server::model(const std::string& name) const {
   return it->second;
 }
 
-std::shared_ptr<const CachedPlan> Server::resolve_plan(const std::string& model_name) {
-  const ops::Model* registered = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(models_mu_);
-    auto it = models_.find(model_name);
-    HIOS_CHECK(it != models_.end(), "unknown model '" << model_name << "'");
-    registered = &it->second;
+std::shared_ptr<const CachedPlan> Server::lookup_plan(const std::string& model_name,
+                                                      TopologyVersion topo) {
+  const CacheLookup found = cache_.get(model(model_name), options_.algorithm, config_, topo);
+  if (found.plan->topo_mask == kFullMask && topo.generation == 0) {
+    metrics_.on_cache_result(found.outcome);
+  } else {
+    metrics_.on_pool_result(found.outcome);
   }
-  CacheOutcome outcome = CacheOutcome::kHit;
-  auto plan =
-      cache_.get(*registered, options_.algorithm, config_, TopologyVersion{}, &outcome);
-  metrics_.on_cache_result(outcome);
-  return plan;
+  return found.plan;
 }
 
 Server::EngineOutcome Server::execute_plan(const ops::Model& model,
@@ -199,7 +195,7 @@ ServeReport Server::run_trace(const Trace& trace) {
     std::map<std::string, std::shared_ptr<const CachedPlan>> plans;
     for (const auto& item : items) plans[item.req->model] = nullptr;
     for (auto& [name, plan] : plans) {
-      plan = resolve_plan(name);
+      plan = lookup_plan(name);
       trace_models.push_back(name);
     }
     for (auto& item : items) item.plan = plans.at(item.req->model);
@@ -325,15 +321,12 @@ ServeReport Server::run_trace(const Trace& trace) {
     }
     return best;
   };
-  // The survivor-topology plan for the current health state (full-topology
-  // plans bypass the pool so healthy traffic keeps the legacy counters).
+  // The plan for the current health state: the full-topology plan resolved
+  // above while every GPU and link is up, else a survivor lookup.
   auto current_plan = [&](Item* item) -> std::shared_ptr<const CachedPlan> {
     if (health_.all_up() && health_.topology_epoch() == 0) return item->plan;
-    bool hit = false;
-    auto plan = pool_.plan_for(model(item->req->model), health_.up_mask(),
-                               health_.topology_epoch(), &hit);
-    metrics_.on_pool_result(hit);
-    return plan;
+    return lookup_plan(item->req->model,
+                       TopologyVersion{health_.up_mask(), health_.topology_epoch()});
   };
 
   // Dispatches queued requests whose lane frees up by `horizon`.
@@ -674,22 +667,12 @@ void Server::online_worker() {
       std::shared_ptr<const CachedPlan> plan;
       EngineOutcome out;
       for (int attempt = 1; attempt <= attempts_allowed; ++attempt) {
-        uint32_t mask = kFullMask;
-        uint64_t epoch = 0;
-        bool all_up = true;
+        TopologyVersion topo;
         {
           std::lock_guard<std::mutex> lock(health_mu_);
-          mask = health_.up_mask();
-          epoch = health_.topology_epoch();
-          all_up = health_.all_up();
+          topo = TopologyVersion{health_.up_mask(), health_.topology_epoch()};
         }
-        if (all_up && epoch == 0) {
-          plan = resolve_plan(req.model);
-        } else {
-          bool hit = false;
-          plan = pool_.plan_for(model(req.model), mask, epoch, &hit);
-          metrics_.on_pool_result(hit);
-        }
+        plan = lookup_plan(req.model, topo);
         resp.attempts = attempt;
         if (options_.use_engine) {
           out = execute_plan(model(req.model), *plan);

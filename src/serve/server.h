@@ -190,7 +190,11 @@ class Server {
   static ServerOptions validated(ServerOptions options);
   static sched::SchedulerConfig effective_config(const ServerOptions& options);
 
-  std::shared_ptr<const CachedPlan> resolve_plan(const std::string& model_name);
+  /// One cache lookup of `model_name`'s plan on `topo`. A lookup that
+  /// resolves to the full-topology entry records the cache counters; a
+  /// survivor lookup records the pool counters.
+  std::shared_ptr<const CachedPlan> lookup_plan(const std::string& model_name,
+                                                TopologyVersion topo = {});
   EngineOutcome execute_plan(const ops::Model& model, const CachedPlan& plan);
   void online_worker();
   /// Online path: observed failed GPUs -> health evidence + prewarm.

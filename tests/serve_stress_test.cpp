@@ -232,7 +232,7 @@ TEST(ServeStress, SingleFlightCacheBuildsOnce) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      plans[static_cast<std::size_t>(t)] = cache.get(model, "hios-lp", config);
+      plans[static_cast<std::size_t>(t)] = cache.get(model, "hios-lp", config).plan;
     });
   }
   for (auto& t : threads) t.join();

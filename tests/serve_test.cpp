@@ -71,15 +71,14 @@ TEST(ScheduleCache, SecondLookupIsAHit) {
   const ops::Model m = tiny_model();
   sched::SchedulerConfig config;
   config.num_gpus = 2;
-  bool hit = true;
-  auto cold = cache.get(m, "hios-lp", config, &hit);
-  EXPECT_FALSE(hit);
-  auto warm = cache.get(m, "hios-lp", config, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(cold.get(), warm.get());  // same immutable plan
+  const CacheLookup cold = cache.get(m, "hios-lp", config);
+  EXPECT_EQ(cold.outcome, CacheOutcome::kMiss);
+  const CacheLookup warm = cache.get(m, "hios-lp", config);
+  EXPECT_EQ(warm.outcome, CacheOutcome::kHit);
+  EXPECT_EQ(cold.plan.get(), warm.plan.get());  // same immutable plan
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_GT(cold->latency_ms, 0.0);
+  EXPECT_GT(cold.plan->latency_ms, 0.0);
 }
 
 TEST(ScheduleCache, KeyDistinguishesConfigAndStructure) {
@@ -92,9 +91,8 @@ TEST(ScheduleCache, KeyDistinguishesConfigAndStructure) {
   cache.get(m, "hios-lp", four);       // different nGPU -> new entry
   cache.get(m, "hios-mr", two);        // different algorithm -> new entry
   const ops::Model renamed = tiny_model("other");  // same structure, new name
-  bool hit = false;
-  cache.get(renamed, "hios-lp", two, &hit);
-  EXPECT_TRUE(hit);                    // fingerprint ignores the name
+  EXPECT_EQ(cache.get(renamed, "hios-lp", two).outcome,
+            CacheOutcome::kHit);       // fingerprint ignores the name
   EXPECT_EQ(cache.size(), 3u);
 }
 
@@ -106,14 +104,13 @@ TEST(ScheduleCache, KeyCoversEverySchedulerConfigField) {
   sched::SchedulerConfig intra, no_intra;
   intra.num_gpus = no_intra.num_gpus = 1;
   no_intra.apply_intra = false;
-  bool hit = true;
-  auto merged = cache.get(m, "hios-lp", intra, &hit);
-  EXPECT_FALSE(hit);
-  auto unmerged = cache.get(m, "hios-lp", no_intra, &hit);
-  EXPECT_FALSE(hit);
+  const CacheLookup merged = cache.get(m, "hios-lp", intra);
+  EXPECT_EQ(merged.outcome, CacheOutcome::kMiss);
+  const CacheLookup unmerged = cache.get(m, "hios-lp", no_intra);
+  EXPECT_EQ(unmerged.outcome, CacheOutcome::kMiss);
   EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_NE(merged->schedule.to_json(merged->profiled.graph).dump(),
-            unmerged->schedule.to_json(unmerged->profiled.graph).dump());
+  EXPECT_NE(merged.plan->schedule.to_json(merged.plan->profiled.graph).dump(),
+            unmerged.plan->schedule.to_json(unmerged.plan->profiled.graph).dump());
 
   // The remaining fields each open their own entry too.
   sched::SchedulerConfig streams = intra, stage_ops = intra, frontier = intra, beam = intra;
@@ -122,8 +119,7 @@ TEST(ScheduleCache, KeyCoversEverySchedulerConfigField) {
   frontier.ios_frontier_cap = 5;
   beam.ios_beam_width = 12;
   for (const sched::SchedulerConfig& c : {streams, stage_ops, frontier, beam}) {
-    cache.get(m, "hios-lp", c, &hit);
-    EXPECT_FALSE(hit);
+    EXPECT_EQ(cache.get(m, "hios-lp", c).outcome, CacheOutcome::kMiss);
   }
   EXPECT_EQ(cache.size(), 6u);
 }
@@ -133,35 +129,34 @@ TEST(ScheduleCache, TopologyMaskKeysSurvivorPlans) {
   const ops::Model m = tiny_model();
   sched::SchedulerConfig config;
   config.num_gpus = 4;
-  bool hit = false;
-  auto full = cache.get(m, "hios-lp", config, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(full->topo_mask, kFullMask);
-  EXPECT_EQ(full->gpus, (std::vector<int>{0, 1, 2, 3}));
+  const CacheLookup full = cache.get(m, "hios-lp", config);
+  EXPECT_EQ(full.outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(full.plan->topo_mask, kFullMask);
+  EXPECT_EQ(full.plan->gpus, (std::vector<int>{0, 1, 2, 3}));
 
   // A survivor mask builds (and caches) a distinct plan on fewer GPUs.
-  auto degraded = cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 0}, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(degraded->topo_mask, 0b0111u);
-  EXPECT_EQ(degraded->gpus, (std::vector<int>{0, 1, 2}));
-  EXPECT_NE(degraded.get(), full.get());
-  cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 0}, &hit);
-  EXPECT_TRUE(hit);
+  const CacheLookup degraded = cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 0});
+  EXPECT_EQ(degraded.outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(degraded.plan->topo_mask, 0b0111u);
+  EXPECT_EQ(degraded.plan->gpus, (std::vector<int>{0, 1, 2}));
+  EXPECT_NE(degraded.plan.get(), full.plan.get());
+  EXPECT_EQ(cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 0}).outcome,
+            CacheOutcome::kHit);
 
-  // The legacy overload is exactly the full-mask entry, and an explicit
-  // all-up mask normalises onto it regardless of how it is spelled.
-  auto legacy = cache.get(m, "hios-lp", config, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(legacy.get(), full.get());
-  cache.get(m, "hios-lp", config, TopologyVersion{0b1111u, 0}, &hit);
-  EXPECT_TRUE(hit);
+  // The default TopologyVersion is exactly the full-mask entry, and an
+  // explicit all-up mask normalises onto it regardless of how it is spelled.
+  const CacheLookup again = cache.get(m, "hios-lp", config);
+  EXPECT_EQ(again.outcome, CacheOutcome::kHit);
+  EXPECT_EQ(again.plan.get(), full.plan.get());
+  EXPECT_EQ(cache.get(m, "hios-lp", config, TopologyVersion{0b1111u, 0}).outcome,
+            CacheOutcome::kHit);
 
-  // A link-topology generation bump opens a fresh plan space (satellite b:
-  // no stale survivor plan can be served across a topology change).
-  cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 1}, &hit);
-  EXPECT_FALSE(hit);
+  // A link-topology generation bump opens a fresh plan space: no stale
+  // survivor plan can be served across a topology change.
+  EXPECT_EQ(cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 1}).outcome,
+            CacheOutcome::kMiss);
 
-  EXPECT_THROW(cache.get(m, "hios-lp", config, TopologyVersion{0u, 0}, &hit), Error);
+  EXPECT_THROW(cache.get(m, "hios-lp", config, TopologyVersion{0u, 0}), Error);
 }
 
 TEST(PlanPool, PrewarmMakesDegradedLookupsWarm) {
@@ -173,25 +168,38 @@ TEST(PlanPool, PrewarmMakesDegradedLookupsWarm) {
 
   // Prewarm builds the full plan + every single-GPU-down survivor set.
   EXPECT_EQ(pool.prewarm(m, kFullMask, 0), 5u);
-  EXPECT_EQ(pool.prewarm_builds(), 5u);
+  EXPECT_EQ(cache.misses(), 5u);
 
-  bool hit = false;
-  auto plan = pool.plan_for(m, 0b1011u, 0, &hit);  // GPU 2 down
-  EXPECT_TRUE(hit);
+  auto plan = pool.plan_for(m, 0b1011u, 0);  // GPU 2 down
   EXPECT_EQ(plan->gpus, (std::vector<int>{0, 1, 3}));
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 0u);
+  EXPECT_EQ(cache.hits(), 1u);  // warm: prewarm already built it
+  EXPECT_EQ(cache.misses(), 5u);
 
   // A mask prewarm did not cover (two GPUs down) is cold exactly once.
-  pool.plan_for(m, 0b0011u, 0, &hit);
-  EXPECT_FALSE(hit);
-  pool.plan_for(m, 0b0011u, 0, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(pool.misses(), 1u);
+  pool.plan_for(m, 0b0011u, 0);
+  EXPECT_EQ(cache.misses(), 6u);
+  pool.plan_for(m, 0b0011u, 0);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 6u);
 
   // Re-prewarming an already-warm pool performs no builds.
   EXPECT_EQ(pool.prewarm(m, kFullMask, 0), 0u);
-  EXPECT_EQ(pool.prewarm_builds(), 5u);
+  EXPECT_EQ(cache.misses(), 6u);
+}
+
+// Survivor masks are uint32_t: a platform width outside [1, 32] is a
+// structured error at construction, not an out-of-range shift in prewarm.
+TEST(PlanPool, RejectsUnrepresentableGpuCounts) {
+  ScheduleCache cache(cost::make_a40_server(4));
+  for (int num_gpus : {0, -1, 33}) {
+    sched::SchedulerConfig config;
+    config.num_gpus = num_gpus;
+    EXPECT_THROW(PlanPool(cache, "hios-lp", config), Error) << num_gpus;
+    EXPECT_THROW(cache.get(tiny_model(), "hios-lp", config), Error) << num_gpus;
+  }
+  sched::SchedulerConfig widest;
+  widest.num_gpus = 32;
+  EXPECT_NO_THROW(PlanPool(cache, "hios-lp", widest));
 }
 
 TEST(ServerOptions, ValidateRejectsBadFields) {
@@ -228,8 +236,8 @@ TEST(Metrics, DegradedModeCountersConserve) {
   m.on_retried();
   m.on_hedged();
   m.on_hedge_won();
-  m.on_pool_result(true);
-  m.on_pool_result(false);
+  m.on_pool_result(CacheOutcome::kHit);
+  m.on_pool_result(CacheOutcome::kMiss);
   m.on_pool_prewarm(3);
   m.on_health_transition();
   m.on_probe(true);
@@ -252,6 +260,11 @@ TEST(Metrics, DegradedModeCountersConserve) {
   EXPECT_NE(dump.find("\"breaker_rejected\":1"), std::string::npos) << dump;
   EXPECT_NE(dump.find("\"plan_pool\""), std::string::npos) << dump;
   EXPECT_NE(dump.find("\"health\""), std::string::npos) << dump;
+
+  // A coalesced survivor lookup did not pay a build: it counts as a hit.
+  m.on_pool_result(CacheOutcome::kCoalesced);
+  EXPECT_EQ(m.snapshot().pool_hits, 2);
+  EXPECT_EQ(m.snapshot().pool_misses, 1);
 
   // hedge_won > hedged is a broken invariant, not a countable state.
   Metrics broken;
