@@ -45,19 +45,6 @@ void BM_LongestValidPath(benchmark::State& state) {
 }
 BENCHMARK(BM_LongestValidPath)->Arg(100)->Arg(400);
 
-// Reference path: the from-scratch list schedule HIOS-LP no longer calls
-// (it keeps a sched::ListScheduleState; see BM_ListTrial).
-void BM_ListSchedule(benchmark::State& state) {
-  const graph::Graph g = test_graph(static_cast<int>(state.range(0)));
-  const cost::TableCostModel cost;
-  const auto order = graph::priority_order(g);
-  std::vector<int> mapping(g.num_nodes());
-  for (std::size_t v = 0; v < g.num_nodes(); ++v) mapping[v] = static_cast<int>(v % 4);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sched::list_schedule(g, mapping, order, 4, cost));
-}
-BENCHMARK(BM_ListSchedule)->Arg(100)->Arg(400);
-
 // Every path extraction of Alg. 1 on a 1024-op DAG, one benchmark iteration
 // per whole sequence (items = paths). `oneshot` calls longest_valid_path on
 // the growing mask, `incremental` one ValidPathFinder's next().
@@ -133,6 +120,10 @@ void BM_StageTimeEval(benchmark::State& state) {
 }
 BENCHMARK(BM_StageTimeEval)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
+// sched::evaluate_schedule on an inter-lp schedule: one call compiles the
+// graph, loads a ScheduleState and evaluates it (compile + load + evaluate).
+// Schedulers that hold a CompiledGraph skip the compile; see
+// BM_MergeCandidate for the per-candidate cost inside Alg. 2.
 void BM_EvaluateSchedule(benchmark::State& state) {
   const graph::Graph g = test_graph(static_cast<int>(state.range(0)));
   const cost::TableCostModel cost;

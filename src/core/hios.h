@@ -54,7 +54,6 @@
 #include "sched/brute_force.h"
 #include "sched/evaluate.h"
 #include "sched/ios_intra.h"
-#include "sched/list_schedule.h"
 #include "sched/parallelize.h"
 #include "sched/residual.h"
 #include "sched/schedule.h"

@@ -4,7 +4,8 @@
 #include <limits>
 #include <unordered_map>
 
-#include "sched/evaluate.h"
+#include "graph/compiled_graph.h"
+#include "sched/core/schedule_state.h"
 #include "util/bitset.h"
 
 namespace hios::sched {
@@ -66,6 +67,8 @@ double optimal_inter_gpu_latency(const graph::Graph& g, const cost::CostModel& c
 
   double best = std::numeric_limits<double>::infinity();
   std::vector<int> mapping(n, 0);
+  const graph::CompiledGraph cg(g);
+  ScheduleState state(cg, cost);
 
   // Enumerate all per-GPU operator orders for the current mapping by
   // permuting each GPU's op list; infeasible orders are rejected by the
@@ -81,8 +84,8 @@ double optimal_inter_gpu_latency(const graph::Graph& g, const cost::CostModel& c
         Schedule schedule(num_gpus);
         for (std::size_t i = 0; i < per_gpu.size(); ++i)
           for (graph::NodeId v : per_gpu[i]) schedule.push_op(static_cast<int>(i), v);
-        if (auto eval = evaluate_schedule(g, schedule, cost))
-          best = std::min(best, eval->latency_ms);
+        state.load(schedule);
+        if (const auto latency = state.evaluate_latency()) best = std::min(best, *latency);
         return;
       }
       std::vector<graph::NodeId>& ops = per_gpu[gpu];

@@ -12,10 +12,11 @@
 // checkpoint of the last mapped rank before it. Unmapped ranks neither
 // change the recurrence nor get a checkpoint.
 //
-// The recomputation executes the exact instruction sequence of
-// sched::list_schedule from identical prefix state, so latencies are
-// bit-identical to the from-scratch pass (property-tested in
-// tests/sched_core_test.cpp).
+// The recomputation executes the exact instruction sequence of a
+// from-scratch list-scheduling pass from identical prefix state, so
+// latencies are bit-identical to that pass (property-tested in
+// tests/sched_core_test.cpp against the one-pass list scheduler kept in
+// tests/oracles/), and to the §III-A evaluation of the placed schedule.
 #pragma once
 
 #include <vector>
@@ -49,7 +50,7 @@ class ListScheduleState {
   double finish(graph::NodeId v) const { return finish_[rank(v)]; }
 
   /// The list schedule of the current mapping as singleton stages in
-  /// per-GPU priority order — what sched::list_schedule places.
+  /// per-GPU priority order.
   Schedule schedule() const;
 
   /// Mapped ranks re-timed so far (deterministic work counter; the

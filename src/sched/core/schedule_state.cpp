@@ -33,6 +33,9 @@ void ScheduleState::load(const Schedule& schedule) {
   const std::size_t n = cg_.num_nodes();
   num_gpus_ = schedule.num_gpus;
   HIOS_CHECK(num_gpus_ >= 1, "ScheduleState: schedule has no GPUs");
+  HIOS_CHECK(schedule.gpus.size() == static_cast<std::size_t>(num_gpus_),
+             "ScheduleState: " << schedule.gpus.size() << " GPU stage lists for num_gpus "
+                               << num_gpus_);
 
   stage_gpu_.clear();
   ops_.clear();
@@ -95,9 +98,17 @@ void ScheduleState::load(const Schedule& schedule) {
   seen_.assign(cap, 0);
   seen_gen_ = 0;
   stages_searched_ = 0;
-  // A cyclic stage data graph deadlocks (run_eval reports nullopt, like the
-  // reference evaluator); load() stays total by calling every pair dependent.
+  // A cyclic stage data graph deadlocks (run_eval reports nullopt); load()
+  // stays total by calling every pair dependent.
   data_cyclic_ = !data_acyclic();
+}
+
+void ScheduleState::require_complete() const {
+  for (std::size_t v = 0; v < node_stage_.size(); ++v) {
+    const auto node = static_cast<graph::NodeId>(v);
+    HIOS_CHECK(node_stage_[v] >= 0,
+               "node " << v << " ('" << cg_.graph().node_name(node) << "') missing from schedule");
+  }
 }
 
 bool ScheduleState::data_acyclic() {
@@ -222,7 +233,7 @@ void ScheduleState::commit_merge() {
 bool ScheduleState::run_eval() {
   // Kahn pass over the stage DAG. In-degrees count chain and data edges
   // with repeats, exactly as the pops below decrement them; a chain edge
-  // adds 0 transfer, like the co-located data edges of the reference.
+  // adds 0 transfer.
   ++mark_gen_;  // finish_ is rewritten: no propagated finish survives
   for (const auto& list : gpu_list_) {
     for (int sid : list) {

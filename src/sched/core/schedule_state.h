@@ -24,11 +24,13 @@
 //     successors from the lower-ranked stage, cut off at the other one's
 //     committed rank, instead of a stage-by-stage closure (DESIGN.md §6d).
 //
-// Evaluation is bit-identical to sched::evaluate_schedule /
-// evaluate_partial_schedule (the retained reference implementation): the
-// timing recurrence uses only max and + over the same operands, so the
-// result is independent of traversal order; the equivalence is enforced by
-// the randomized property suite in tests/sched_core_test.cpp.
+// ScheduleState is the one production implementation of the §III-A stage
+// timing: sched::evaluate_schedule wraps it, the schedulers time their
+// results with it, and the simulators walk its stage order. The timing
+// recurrence uses only max and + over the same operands, so the result is
+// independent of traversal order; the randomized property suites in
+// tests/sched_core_test.cpp and tests/oracle_diff_test.cpp hold it
+// bit-identical to the from-scratch evaluator kept in tests/oracles/.
 #pragma once
 
 #include <optional>
@@ -49,10 +51,14 @@ class ScheduleState {
   ScheduleState(const graph::CompiledGraph& cg, const cost::CostModel& cost);
 
   /// Loads `schedule`, replacing any previous state. Nodes absent from the
-  /// schedule are allowed (partial schedules, evaluated like
-  /// evaluate_partial_schedule). Throws on empty stages, out-of-range ids,
-  /// or an op listed twice.
+  /// schedule are allowed (partial schedules: edges to or from them are
+  /// ignored). Throws on num_gpus < 1, a gpus list whose size is not
+  /// num_gpus, empty stages, out-of-range ids, or an op listed twice.
   void load(const Schedule& schedule);
+
+  /// Throws hios::Error naming the first node absent from the loaded
+  /// schedule: the check for callers that need a complete schedule.
+  void require_complete() const;
 
   int num_gpus() const { return num_gpus_; }
   std::size_t num_stages_alive() const { return alive_count_; }
@@ -80,8 +86,14 @@ class ScheduleState {
   /// after load().
   std::optional<double> evaluate_latency();
 
-  /// Full timing report, flattened GPU-major like evaluate_schedule.
+  /// Full timing report, flattened GPU-major.
   std::optional<Evaluation> evaluate();
+
+  /// Stable ids of the alive stages in the Kahn order of the first
+  /// successful evaluation after load(): a topological order of the stage
+  /// DAG, GPU chains included. Valid from then until the next load() or
+  /// merge.
+  std::span<const int> stage_order() const { return at_rank_; }
 
   /// Latency of the pending merge when it is strictly below `bound`, else
   /// nullopt (not better, or the merge deadlocks); the value is bit-equal

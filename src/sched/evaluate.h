@@ -1,17 +1,17 @@
-// Stage-level schedule evaluator (§III-A semantics).
+// Stage-level schedule evaluation (§III-A semantics).
 //
 // Computes the start/finish time of every stage under the paper's model:
 //   * stages on one GPU execute in listed order,
 //   * a stage starts once its GPU is free AND every producing stage has
 //     finished (+ t(u,v) when producer and consumer are on different GPUs),
 //   * a stage runs for t(S) from the cost model.
-// This is the *reference* evaluator: a single from-scratch O(V + E + S)
-// pass over the stage DAG. The schedulers' inner loops now score candidates
-// through the incremental sched::ScheduleState (sched/core/), which must
-// produce bit-identical latencies and timings — an equivalence enforced by
-// the randomized property suite in tests/sched_core_test.cpp. Infeasible
+// evaluate_schedule() is the one-call entry point for a complete schedule:
+// it compiles the graph and times the schedule through
+// sched::ScheduleState (sched/core/), the timing core behind every
+// scheduler and simulator. Code that already holds a CompiledGraph, or that
+// times many schedules of one graph, uses ScheduleState directly. Infeasible
 // schedules (dependency cycles through the per-GPU execution order) are
-// detected and reported by both.
+// reported as nullopt.
 #pragma once
 
 #include <optional>
@@ -33,22 +33,16 @@ struct StageTiming {
 /// Full evaluation result.
 struct Evaluation {
   double latency_ms = 0.0;
-  std::vector<StageTiming> stages;      ///< flattened, in evaluation order
+  std::vector<StageTiming> stages;      ///< flattened GPU-major (GPU, then position)
   std::vector<int> stage_of;            ///< node -> flattened stage index (-1 if absent)
 };
 
 /// Evaluates `schedule` for graph `g` with cost model `cost`.
 /// Returns nullopt when the schedule deadlocks (cycle between stage
-/// dependencies and per-GPU execution order). Ops absent from the schedule
-/// are not allowed (throws) — use partial graphs instead.
+/// dependencies and per-GPU execution order). Throws hios::Error when an op
+/// is absent from the schedule, when the schedule is malformed (see
+/// ScheduleState::load), or when `g` itself has a cycle.
 std::optional<Evaluation> evaluate_schedule(const graph::Graph& g, const Schedule& schedule,
                                             const cost::CostModel& cost);
-
-/// Like evaluate_schedule but over the subset of nodes present in the
-/// schedule; edges to/from unscheduled nodes are ignored. Used by HIOS-LP
-/// while the mapping is still partial.
-std::optional<Evaluation> evaluate_partial_schedule(const graph::Graph& g,
-                                                    const Schedule& schedule,
-                                                    const cost::CostModel& cost);
 
 }  // namespace hios::sched

@@ -7,7 +7,6 @@
 #include "graph/compiled_graph.h"
 #include "graph/longest_path.h"
 #include "sched/core/list_state.h"
-#include "sched/evaluate.h"
 #include "sched/parallelize.h"
 
 namespace hios::sched {
@@ -47,6 +46,7 @@ LongestPathMapping longest_path_mapping(const graph::CompiledGraph& cg, int num_
       }
     }
     for (graph::NodeId v : path->nodes) trial.set_gpu(v, best_gpu);
+    out.latency_ms = best_latency;
   }
   out.schedule = trial.schedule();
   out.positions_visited = finder.positions_visited();
@@ -73,10 +73,8 @@ ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::Cost
     result.schedule = std::move(intra.schedule);
     result.latency_ms = intra.latency_ms;
   } else {
-    auto eval = evaluate_schedule(g, placed.schedule, cached);
-    HIOS_ASSERT(eval.has_value(), "list schedule cannot deadlock");
     result.schedule = std::move(placed.schedule);
-    result.latency_ms = eval->latency_ms;
+    result.latency_ms = placed.latency_ms;
   }
   result.scheduling_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();

@@ -16,6 +16,10 @@ namespace hios::sched {
 /// counters.
 struct LongestPathMapping {
   Schedule schedule;  ///< list schedule of the final mapping (singleton stages)
+  /// The last path's winning trial latency: the list-schedule latency of
+  /// exactly the final mapping, bit-equal to evaluating `schedule` (0 when
+  /// there is no path).
+  double latency_ms = 0.0;
   std::size_t paths = 0;
   /// ValidPathFinder::positions_visited(); a from-scratch extraction per
   /// path would walk every unscheduled position.

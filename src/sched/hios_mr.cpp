@@ -6,7 +6,7 @@
 
 #include "cost/stage_cache.h"
 #include "graph/compiled_graph.h"
-#include "sched/evaluate.h"
+#include "sched/core/schedule_state.h"
 #include "sched/parallelize.h"
 
 namespace hios::sched {
@@ -117,10 +117,12 @@ ScheduleResult HiosMrScheduler::schedule(const graph::Graph& g, const cost::Cost
     result.schedule = std::move(intra.schedule);
     result.latency_ms = intra.latency_ms;
   } else {
-    auto eval = evaluate_schedule(g, schedule, cached);
-    HIOS_ASSERT(eval.has_value(), "MR chain schedule cannot deadlock");
+    ScheduleState state(cg, cached);
+    state.load(schedule);
+    const auto latency = state.evaluate_latency();
+    HIOS_ASSERT(latency.has_value(), "MR chain schedule cannot deadlock");
     result.schedule = std::move(schedule);
-    result.latency_ms = eval->latency_ms;
+    result.latency_ms = *latency;
   }
   result.scheduling_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();

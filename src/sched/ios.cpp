@@ -7,7 +7,7 @@
 
 #include "cost/stage_cache.h"
 #include "graph/compiled_graph.h"
-#include "sched/evaluate.h"
+#include "sched/core/schedule_state.h"
 #include "util/bitset.h"
 
 namespace hios::sched {
@@ -147,10 +147,12 @@ ScheduleResult IosScheduler::schedule(const graph::Graph& g, const cost::CostMod
   for (auto it = stages_rev.rbegin(); it != stages_rev.rend(); ++it)
     schedule.gpus[0].push_back(Stage{*it});
 
-  auto eval = evaluate_schedule(g, schedule, cached);
-  HIOS_ASSERT(eval.has_value(), "IOS schedule cannot deadlock");
+  ScheduleState state(cg, cached);
+  state.load(schedule);
+  const auto latency = state.evaluate_latency();
+  HIOS_ASSERT(latency.has_value(), "IOS schedule cannot deadlock");
   result.schedule = std::move(schedule);
-  result.latency_ms = eval->latency_ms;
+  result.latency_ms = *latency;
   result.scheduling_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   return result;

@@ -3,7 +3,8 @@
 #include <chrono>
 
 #include "cost/stage_cache.h"
-#include "sched/evaluate.h"
+#include "graph/compiled_graph.h"
+#include "sched/core/schedule_state.h"
 #include "sched/hios_lp.h"
 #include "sched/ios.h"
 
@@ -44,14 +45,18 @@ class RemappedCost final : public cost::CostModel {
 ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
                               const cost::CostModel& cost, const SchedulerConfig& config) {
   const auto t0 = std::chrono::steady_clock::now();
-  // One stage-time cache across the base evaluation and every per-GPU
-  // candidate re-evaluation below.
+  // One compiled graph, state and stage-time cache across the base
+  // evaluation and every per-GPU candidate re-evaluation below.
+  const graph::CompiledGraph cg(g);
   const cost::StageTimeCache cached(cost);
-  auto base_eval = evaluate_schedule(g, schedule, cached);
-  HIOS_CHECK(base_eval.has_value(), "ios_intra_pass: input schedule deadlocks");
+  ScheduleState state(cg, cached);
+  state.load(schedule);
+  state.require_complete();
+  const auto base_latency = state.evaluate_latency();
+  HIOS_CHECK(base_latency.has_value(), "ios_intra_pass: input schedule deadlocks");
 
   Schedule best = schedule;
-  double best_latency = base_eval->latency_ms;
+  double best_latency = *base_latency;
   const std::vector<int> gpu_of = schedule.gpu_assignment(g.num_nodes());
 
   IosScheduler ios;
@@ -90,10 +95,10 @@ ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
     // The local DP may have reordered ops in a way that deadlocks against
     // cross-GPU dependencies, or may simply be worse globally: keep only
     // strict improvements.
-    if (auto eval = evaluate_schedule(g, candidate, cached);
-        eval.has_value() && eval->latency_ms < best_latency) {
+    state.load(candidate);
+    if (const auto latency = state.evaluate_latency(); latency && *latency < best_latency) {
       best = std::move(candidate);
-      best_latency = eval->latency_ms;
+      best_latency = *latency;
     }
   }
 

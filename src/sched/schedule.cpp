@@ -1,5 +1,7 @@
 #include "sched/schedule.h"
 
+#include <limits>
+
 namespace hios::sched {
 
 std::vector<int> Schedule::gpu_assignment(std::size_t num_nodes) const {
@@ -73,14 +75,22 @@ Json Schedule::to_json(const graph::Graph& g) const {
 }
 
 Schedule Schedule::from_json(const Json& json) {
-  Schedule schedule(static_cast<int>(json.at("num_gpus").as_int()));
+  // Shape first: nothing is sized from num_gpus until it matches the gpus
+  // array, so a hostile count cannot drive an allocation.
   const auto& gpu_array = json.at("gpus").as_array();
-  HIOS_CHECK(gpu_array.size() == static_cast<std::size_t>(schedule.num_gpus),
-             "schedule JSON: gpus array size mismatch");
+  const double num_gpus = json.at("num_gpus").as_number();
+  HIOS_CHECK(num_gpus >= 1 && num_gpus == static_cast<double>(gpu_array.size()),
+             "schedule JSON: num_gpus " << num_gpus << " must be >= 1 and match the "
+                                        << gpu_array.size() << " GPU stage lists");
+  Schedule schedule(static_cast<int>(gpu_array.size()));
   for (std::size_t i = 0; i < gpu_array.size(); ++i) {
     for (const Json& stage_json : gpu_array[i].as_array()) {
       Stage stage;
       for (const Json& op : stage_json.as_array()) {
+        const double id = op.at("id").as_number();
+        HIOS_CHECK(id >= 0 && id <= std::numeric_limits<graph::NodeId>::max(),
+                   "schedule JSON: op id " << id << " outside [0, "
+                                           << std::numeric_limits<graph::NodeId>::max() << "]");
         stage.ops.push_back(static_cast<graph::NodeId>(op.at("id").as_int()));
       }
       schedule.gpus[i].push_back(std::move(stage));

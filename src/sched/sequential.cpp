@@ -3,7 +3,7 @@
 #include <chrono>
 
 #include "graph/compiled_graph.h"
-#include "sched/evaluate.h"
+#include "sched/core/schedule_state.h"
 
 namespace hios::sched {
 
@@ -11,11 +11,13 @@ ScheduleResult sequential_core(const graph::Graph& g, const cost::CostModel& cos
   const graph::CompiledGraph cg(g);
   Schedule schedule(1);
   for (graph::NodeId v : cg.priority_order()) schedule.push_op(0, v);
-  auto eval = evaluate_schedule(g, schedule, cost);
-  HIOS_ASSERT(eval.has_value(), "sequential schedule cannot deadlock");
+  ScheduleState state(cg, cost);
+  state.load(schedule);
+  const auto latency = state.evaluate_latency();
+  HIOS_ASSERT(latency.has_value(), "sequential schedule cannot deadlock");
   ScheduleResult result;
   result.schedule = std::move(schedule);
-  result.latency_ms = eval->latency_ms;
+  result.latency_ms = *latency;
   result.algorithm = "sequential";
   return result;
 }

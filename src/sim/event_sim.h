@@ -11,6 +11,10 @@
 //   scaled by the stage's contention factor t(S)/max_t, so a stage whose
 //   ops do start together finishes exactly at t(S). Op-level latency is
 //   therefore never above stage-level latency (tight-upper-bound claim).
+//
+// Both run on sched::ScheduleState, the one stage-DAG timing core:
+// simulate_stages reports its evaluation as a timeline, and simulate_ops
+// re-times ops in its stage order (ScheduleState::stage_order()).
 #pragma once
 
 #include <optional>
@@ -25,7 +29,8 @@ namespace hios::sim {
 std::optional<Timeline> simulate_stages(const graph::Graph& g, const sched::Schedule& schedule,
                                         const cost::CostModel& cost);
 
-/// Op-accurate (relaxed-start) timeline. Returns nullopt on deadlock.
+/// Op-accurate (relaxed-start) timeline. Returns nullopt on deadlock;
+/// throws hios::Error on a malformed or incomplete schedule.
 std::optional<Timeline> simulate_ops(const graph::Graph& g, const sched::Schedule& schedule,
                                      const cost::CostModel& cost);
 

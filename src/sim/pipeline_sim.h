@@ -7,6 +7,9 @@
 // overlap across GPUs: GPU 1 starts request r+1 while GPU 2 still finishes
 // request r. This module measures that overlap — single-request latency is
 // a poor predictor of throughput when the schedule is imbalanced.
+//
+// The schedule is loaded once into sched::ScheduleState, and every request
+// runs the request-major recurrence over the core's stage order.
 #pragma once
 
 #include <optional>
@@ -27,7 +30,8 @@ struct PipelineStats {
 };
 
 /// Simulates `num_requests` back-to-back inferences (all data available at
-/// t = 0) through `schedule`. Returns nullopt when the schedule deadlocks.
+/// t = 0) through `schedule`. Returns nullopt when the schedule deadlocks;
+/// throws hios::Error on a malformed or incomplete schedule.
 std::optional<PipelineStats> simulate_pipeline(const graph::Graph& g,
                                                const sched::Schedule& schedule,
                                                const cost::CostModel& cost,

@@ -3,8 +3,11 @@
 
 #include "cost/table_model.h"
 #include "graph/algorithms.h"
+#include "graph/compiled_graph.h"
 #include "models/examples.h"
+#include "sched/core/schedule_state.h"
 #include "sched/evaluate.h"
+#include "sched/validate.h"
 
 namespace hios::sched {
 namespace {
@@ -90,12 +93,48 @@ TEST(Evaluate, MissingNodeThrows) {
 }
 
 TEST(Evaluate, PartialIgnoresUnscheduled) {
+  // ScheduleState times partial schedules (HIOS-LP's trials, Alg. 2's
+  // inputs); evaluate_schedule itself insists on a complete one.
   const graph::Graph g = models::make_chain(3, 2.0, 0.5);
   Schedule s(1);
   s.push_op(0, 0);  // only the first op
-  const auto eval = evaluate_partial_schedule(g, s, kCost);
+  const graph::CompiledGraph cg(g);
+  ScheduleState state(cg, kCost);
+  state.load(s);
+  const auto eval = state.evaluate();
   ASSERT_TRUE(eval.has_value());
   EXPECT_DOUBLE_EQ(eval->latency_ms, 2.0);
+  EXPECT_EQ(eval->stage_of, (std::vector<int>{0, -1, -1}));
+}
+
+TEST(Evaluate, CyclicGraphIsAStructuredError) {
+  // A cyclic graph has no valid schedule: evaluate_schedule rejects it with
+  // hios::Error while compiling the graph, as validate_schedule does.
+  graph::Graph g("loop");
+  g.add_node("a", 1.0);
+  g.add_node("b", 1.0);
+  g.add_edge(0, 1, 0.1);
+  g.add_edge(1, 0, 0.1);
+  Schedule s(2);
+  s.push_op(0, 0);
+  s.push_op(1, 1);
+  EXPECT_THROW(evaluate_schedule(g, s, kCost), Error);
+  EXPECT_THROW(validate_schedule(g, s), Error);
+}
+
+TEST(Evaluate, MalformedScheduleIsAStructuredError) {
+  const graph::Graph g = models::make_chain(2);
+  Schedule lopsided(2);
+  lopsided.push_op(0, 0);
+  lopsided.push_op(1, 1);
+  lopsided.gpus.pop_back();  // num_gpus says 2, one stage list
+  EXPECT_THROW(evaluate_schedule(g, lopsided, kCost), Error);
+  Schedule no_gpus;
+  EXPECT_THROW(evaluate_schedule(g, no_gpus, kCost), Error);
+  Schedule bad_id(1);
+  bad_id.push_op(0, 0);
+  bad_id.push_op(0, 7);
+  EXPECT_THROW(evaluate_schedule(g, bad_id, kCost), Error);
 }
 
 TEST(Evaluate, WorstTransferBetweenStagePairKept) {

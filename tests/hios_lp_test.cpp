@@ -2,16 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <random>
 
 #include "cost/table_model.h"
 #include "graph/algorithms.h"
 #include "models/examples.h"
 #include "models/random_dag.h"
+#include "oracles/oracles.h"
 #include "sched/brute_force.h"
 #include "sched/evaluate.h"
 #include "sched/hios_lp.h"
-#include "sched/list_schedule.h"
 #include "sched/parallelize.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
@@ -187,8 +188,46 @@ TEST(HiosLp, PlacedScheduleMatchesListSchedule) {
       const LongestPathMapping placed = longest_path_mapping(cg, m, kCost);
       const std::vector<int> mapping = placed.schedule.gpu_assignment(g.num_nodes());
       for (int gpu : mapping) ASSERT_GE(gpu, 0);
-      const ListScheduleResult ref = list_schedule(g, mapping, cg.priority_order(), m, kCost);
+      const oracle::ListScheduleResult ref =
+          oracle::list_schedule(g, mapping, cg.priority_order(), m, kCost);
       EXPECT_EQ(placed.schedule.to_json(g).dump(), ref.schedule.to_json(g).dump())
+          << "dag " << iter << ", " << m << " GPUs";
+    }
+  }
+}
+
+TEST(HiosLp, InterOnlyLatencyMatchesReferenceEvaluation) {
+  // inter-lp reports Alg. 1's last winning trial latency instead of
+  // re-evaluating the placed schedule: that trial timed exactly the final
+  // mapping, so it must equal the from-scratch evaluation bit for bit, on
+  // symmetric machines, with per-GPU speed factors and with a topology.
+  std::mt19937_64 rng(0x1A7E);
+  for (int iter = 0; iter < 60; ++iter) {
+    models::RandomDagParams p;
+    p.num_ops = 10 + static_cast<int>(rng() % 120);
+    p.num_layers = 2 + static_cast<int>(rng() % 8);
+    p.num_deps = p.num_ops + static_cast<int>(rng() % (2 * p.num_ops));
+    p.seed = rng();
+    const graph::Graph g = models::random_dag(p);
+    const graph::CompiledGraph cg(g);
+    for (int m = 1; m <= 4; ++m) {
+      cost::TableCostModel cost;
+      if (iter % 4 == 1 || iter % 4 == 3) {
+        std::vector<double> speeds;
+        for (int i = 0; i < m; ++i) speeds.push_back(0.5 + 0.25 * static_cast<double>(rng() % 7));
+        cost.set_speed_factors(std::move(speeds));
+      }
+      if (iter % 4 >= 2)
+        cost.set_topology(cost::Topology::hierarchical(m, 2, cost::LinkClass{2.5, 0.05}));
+      const LongestPathMapping placed = longest_path_mapping(cg, m, cost);
+      const auto ref = oracle::evaluate_schedule(g, placed.schedule, cost);
+      ASSERT_TRUE(ref.has_value()) << "dag " << iter << ", " << m << " GPUs";
+      EXPECT_EQ(std::bit_cast<uint64_t>(placed.latency_ms), std::bit_cast<uint64_t>(ref->latency_ms))
+          << "dag " << iter << ", " << m << " GPUs: " << placed.latency_ms << " vs "
+          << ref->latency_ms;
+      const ScheduleResult inter = make_scheduler("inter-lp")->schedule(g, cost, gpus(m));
+      EXPECT_EQ(inter.schedule.to_json(g).dump(), placed.schedule.to_json(g).dump());
+      EXPECT_EQ(std::bit_cast<uint64_t>(inter.latency_ms), std::bit_cast<uint64_t>(ref->latency_ms))
           << "dag " << iter << ", " << m << " GPUs";
     }
   }

@@ -1,22 +1,44 @@
-// Tests for the priority-order list scheduler (Alg. 1 lines 10-13).
+// Tests for the priority-order list scheduler (Alg. 1 lines 10-13): the
+// production ListScheduleState against hand-computed timings and against
+// the one-pass list scheduler and from-scratch evaluator in tests/oracles/.
 #include <gtest/gtest.h>
 
 #include "cost/table_model.h"
 #include "graph/algorithms.h"
+#include "graph/compiled_graph.h"
 #include "models/examples.h"
 #include "models/random_dag.h"
-#include "sched/evaluate.h"
-#include "sched/list_schedule.h"
+#include "oracles/oracles.h"
+#include "sched/core/list_state.h"
 
 namespace hios::sched {
 namespace {
 
 const cost::TableCostModel kCost;
 
+/// Runs the oracle pass over `mapping` in priority order and checks that
+/// ListScheduleState, given the same mapping, reports the same latency,
+/// per-node times and placed schedule, bit for bit.
+oracle::ListScheduleResult list_schedule_checked(const graph::Graph& g,
+                                                 const std::vector<int>& mapping, int num_gpus) {
+  const graph::CompiledGraph cg(g);
+  const oracle::ListScheduleResult ref =
+      oracle::list_schedule(g, mapping, cg.priority_order(), num_gpus, kCost);
+  ListScheduleState state(cg, num_gpus, kCost);
+  for (std::size_t v = 0; v < mapping.size(); ++v)
+    state.set_gpu(static_cast<graph::NodeId>(v), mapping[v]);
+  EXPECT_EQ(state.latency(), ref.latency_ms);
+  for (std::size_t v = 0; v < mapping.size(); ++v) {
+    EXPECT_EQ(state.start(static_cast<graph::NodeId>(v)), ref.start[v]) << v;
+    EXPECT_EQ(state.finish(static_cast<graph::NodeId>(v)), ref.finish[v]) << v;
+  }
+  EXPECT_EQ(state.schedule().to_json(g).dump(), ref.schedule.to_json(g).dump());
+  return ref;
+}
+
 TEST(ListSchedule, ChainOnOneGpu) {
   const graph::Graph g = models::make_chain(3, 2.0, 0.5);
-  const auto order = graph::priority_order(g);
-  const ListScheduleResult r = list_schedule(g, {0, 0, 0}, order, 1, kCost);
+  const oracle::ListScheduleResult r = list_schedule_checked(g, {0, 0, 0}, 1);
   EXPECT_DOUBLE_EQ(r.latency_ms, 6.0);
   EXPECT_DOUBLE_EQ(r.start[0], 0.0);
   EXPECT_DOUBLE_EQ(r.finish[2], 6.0);
@@ -25,16 +47,14 @@ TEST(ListSchedule, ChainOnOneGpu) {
 
 TEST(ListSchedule, CrossGpuTransferDelaysStart) {
   const graph::Graph g = models::make_chain(2, 2.0, 0.7);
-  const auto order = graph::priority_order(g);
-  const ListScheduleResult r = list_schedule(g, {0, 1}, order, 2, kCost);
+  const oracle::ListScheduleResult r = list_schedule_checked(g, {0, 1}, 2);
   EXPECT_DOUBLE_EQ(r.start[1], 2.7);
   EXPECT_DOUBLE_EQ(r.latency_ms, 4.7);
 }
 
 TEST(ListSchedule, PartialMappingIgnoresUnmapped) {
   const graph::Graph g = models::make_chain(3, 1.0, 0.5);
-  const auto order = graph::priority_order(g);
-  const ListScheduleResult r = list_schedule(g, {0, -1, 0}, order, 1, kCost);
+  const oracle::ListScheduleResult r = list_schedule_checked(g, {0, -1, 0}, 1);
   // Node 1 unmapped: node 2's dependency on it is ignored; both mapped ops
   // run back to back.
   EXPECT_DOUBLE_EQ(r.latency_ms, 2.0);
@@ -45,11 +65,9 @@ TEST(ListSchedule, PartialMappingIgnoresUnmapped) {
 
 TEST(ListSchedule, ParallelBranchesUseBothGpus) {
   const graph::Graph g = models::make_fork_join(2, 3.0, 0.5, 1.0);
-  const auto order = graph::priority_order(g);
-  const ListScheduleResult r = list_schedule(g, {0, 0, 0, 1}, order, 2, kCost);
+  const oracle::ListScheduleResult r = list_schedule_checked(g, {0, 0, 0, 1}, 2);
   // Matches the evaluator on the same singleton-stage schedule.
-  const cost::TableCostModel cost;
-  const auto eval = evaluate_schedule(g, r.schedule, cost);
+  const auto eval = oracle::evaluate_schedule(g, r.schedule, kCost);
   ASSERT_TRUE(eval.has_value());
   EXPECT_DOUBLE_EQ(eval->latency_ms, r.latency_ms);
 }
@@ -57,7 +75,6 @@ TEST(ListSchedule, ParallelBranchesUseBothGpus) {
 TEST(ListSchedule, AgreesWithEvaluatorOnRandomGraphs) {
   // The list scheduler's incremental times must equal the evaluator's
   // fixed-point on the produced schedule (same §III-A semantics).
-  const cost::TableCostModel cost;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     models::RandomDagParams p;
     p.num_ops = 60;
@@ -65,23 +82,27 @@ TEST(ListSchedule, AgreesWithEvaluatorOnRandomGraphs) {
     p.num_deps = 120;
     p.seed = seed;
     const graph::Graph g = models::random_dag(p);
-    const auto order = graph::priority_order(g);
     std::vector<int> mapping(g.num_nodes());
     for (std::size_t v = 0; v < g.num_nodes(); ++v) mapping[v] = static_cast<int>(v % 3);
-    const ListScheduleResult r = list_schedule(g, mapping, order, 3, kCost);
-    const auto eval = evaluate_schedule(g, r.schedule, cost);
+    const oracle::ListScheduleResult r = list_schedule_checked(g, mapping, 3);
+    const auto eval = oracle::evaluate_schedule(g, r.schedule, kCost);
     ASSERT_TRUE(eval.has_value()) << seed;
-    EXPECT_NEAR(eval->latency_ms, r.latency_ms, 1e-9) << seed;
+    EXPECT_EQ(eval->latency_ms, r.latency_ms) << seed;
   }
 }
 
 TEST(ListSchedule, InputValidation) {
   const graph::Graph g = models::make_chain(2);
   const auto order = graph::priority_order(g);
-  EXPECT_THROW(list_schedule(g, {0}, order, 1, kCost), Error);          // mapping size
-  EXPECT_THROW(list_schedule(g, {0, 0}, {0}, 1, kCost), Error);         // order size
-  EXPECT_THROW(list_schedule(g, {0, 0}, order, 0, kCost), Error);       // gpus
-  EXPECT_THROW(list_schedule(g, {0, 5}, order, 2, kCost), Error);       // gpu range
+  EXPECT_THROW(oracle::list_schedule(g, {0}, order, 1, kCost), Error);     // mapping size
+  EXPECT_THROW(oracle::list_schedule(g, {0, 0}, {0}, 1, kCost), Error);    // order size
+  EXPECT_THROW(oracle::list_schedule(g, {0, 0}, order, 0, kCost), Error);  // gpus
+  EXPECT_THROW(oracle::list_schedule(g, {0, 5}, order, 2, kCost), Error);  // gpu range
+  const graph::CompiledGraph cg(g);
+  EXPECT_THROW(ListScheduleState(cg, 0, kCost), Error);  // gpus
+  ListScheduleState state(cg, 2, kCost);
+  EXPECT_THROW(state.set_gpu(1, 5), Error);  // gpu range
+  EXPECT_THROW(state.set_gpu(2, 0), Error);  // node range
 }
 
 TEST(ListSchedule, GpuTailRespected) {
@@ -89,8 +110,7 @@ TEST(ListSchedule, GpuTailRespected) {
   graph::Graph g;
   g.add_node("a", 2.0);
   g.add_node("b", 3.0);
-  const auto order = graph::priority_order(g);
-  const ListScheduleResult r = list_schedule(g, {0, 0}, order, 1, kCost);
+  const oracle::ListScheduleResult r = list_schedule_checked(g, {0, 0}, 1);
   EXPECT_DOUBLE_EQ(r.latency_ms, 5.0);
 }
 

@@ -12,15 +12,27 @@
 // (a)/(b) plus the trivial critical-path lower bound apply. Finally, IOS
 // with pruning disabled must *equal* the single-GPU optimum — the
 // differential that pins the DP against an independent implementation.
+//
+// The reported latencies are checked against the from-scratch evaluator in
+// tests/oracles/, and the two simulators, which walk the production core's
+// stage order, against the oracle copies with their own Kahn passes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <random>
+#include <tuple>
+
 #include "cost/table_model.h"
+#include "graph/algorithms.h"
 #include "models/random_dag.h"
+#include "oracles/oracles.h"
 #include "sched/bounds.h"
 #include "sched/brute_force.h"
-#include "sched/evaluate.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
+#include "sim/event_sim.h"
+#include "sim/pipeline_sim.h"
 #include "util/thread_pool.h"
 
 namespace hios::sched {
@@ -45,10 +57,10 @@ double check_and_evaluate(const graph::Graph& g, const std::string& algorithm,
   const auto violations = validate_schedule(g, r.schedule);
   EXPECT_TRUE(violations.empty())
       << algorithm << ": " << (violations.empty() ? "" : violations.front());
-  const auto eval = evaluate_schedule(g, r.schedule, kCost);
+  const auto eval = oracle::evaluate_schedule(g, r.schedule, kCost);
   EXPECT_TRUE(eval.has_value()) << algorithm << ": schedule deadlocks";
   if (eval.has_value()) {
-    EXPECT_DOUBLE_EQ(eval->latency_ms, r.latency_ms) << algorithm;
+    EXPECT_EQ(eval->latency_ms, r.latency_ms) << algorithm;
   }
   return r.latency_ms;
 }
@@ -128,6 +140,124 @@ TEST(OracleDiff, OraclesAgreeOnSingleGpuSingletonCase) {
                 optimal_single_gpu_latency(g, kCost, 1), 1e-9)
         << seed;
   }
+}
+
+/// One simulator differential case: a random DAG, a random grouped schedule
+/// on 1-4 GPUs (per-GPU stage order sometimes perturbed so that it
+/// deadlocks) and a cost model with speed factors and/or a topology.
+struct SimCase {
+  graph::Graph g;
+  Schedule schedule;
+  cost::TableCostModel cost;
+};
+
+SimCase random_sim_case(std::mt19937_64& rng, int iter) {
+  models::RandomDagParams p;
+  p.num_ops = 12 + static_cast<int>(rng() % 52);
+  p.num_layers = 3 + static_cast<int>(rng() % 6);
+  p.num_deps = p.num_ops + static_cast<int>(rng() % (2 * p.num_ops));
+  p.seed = rng();
+  SimCase c;
+  c.g = models::random_dag(p);
+  const int m = 1 + static_cast<int>(rng() % 4);
+  c.schedule = Schedule(m);
+  if (iter % 4 == 1 || iter % 4 == 3) {
+    std::vector<double> speeds;
+    for (int i = 0; i < m; ++i) speeds.push_back(0.5 + 0.25 * static_cast<double>(rng() % 7));
+    c.cost.set_speed_factors(std::move(speeds));
+  }
+  if (iter % 4 >= 2)
+    c.cost.set_topology(cost::Topology::hierarchical(m, 2, cost::LinkClass{2.5, 0.05}));
+
+  // Nodes in topological order go to random GPUs; an op often joins the
+  // GPU's last stage when it is independent of every op there.
+  const auto reach = graph::reachability(c.g);
+  const auto topo = graph::topological_sort(c.g);
+  for (graph::NodeId v : *topo) {
+    auto& stages = c.schedule.gpus[rng() % static_cast<uint64_t>(m)];
+    bool grouped = false;
+    if (!stages.empty() && stages.back().ops.size() < 4 && rng() % 5 < 2) {
+      grouped = true;
+      for (graph::NodeId u : stages.back().ops) grouped = grouped && graph::independent(reach, u, v);
+    }
+    if (grouped) {
+      stages.back().ops.push_back(v);
+    } else {
+      stages.push_back(Stage{{v}});
+    }
+  }
+  // Every other case swaps a few adjacent stages, which often deadlocks.
+  for (auto& stages : c.schedule.gpus) {
+    for (int k = 0; iter % 2 == 1 && stages.size() >= 2 && k < static_cast<int>(rng() % 3); ++k) {
+      const std::size_t i = rng() % (stages.size() - 1);
+      std::swap(stages[i], stages[i + 1]);
+    }
+  }
+  return c;
+}
+
+uint64_t bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(OracleDiff, SimulateOpsMatchesOracleTimeline) {
+  std::mt19937_64 rng(0x0B5E7);
+  int deadlocks = 0, feasible = 0;
+  for (int iter = 0; iter < 120; ++iter) {
+    const SimCase c = random_sim_case(rng, iter);
+    const auto want = oracle::simulate_ops(c.g, c.schedule, c.cost);
+    const auto got = sim::simulate_ops(c.g, c.schedule, c.cost);
+    ASSERT_EQ(want.has_value(), got.has_value()) << "case " << iter;
+    if (!want.has_value()) {
+      ++deadlocks;
+      continue;
+    }
+    ++feasible;
+    EXPECT_EQ(bits(want->latency_ms), bits(got->latency_ms)) << "case " << iter;
+    ASSERT_EQ(want->events.size(), got->events.size()) << "case " << iter;
+    // Compute events come in stage order, which may be any topological
+    // order, so compare them keyed by event kind and name.
+    const auto by_op = [](const sim::Timeline& tl) {
+      std::map<std::pair<sim::TimelineEvent::Kind, std::string>,
+               std::tuple<int, int, int, uint64_t, uint64_t>>
+          out;
+      for (const sim::TimelineEvent& e : tl.events)
+        out[{e.kind, e.name}] = {e.gpu, e.peer_gpu, e.stage, bits(e.start_ms), bits(e.finish_ms)};
+      return out;
+    };
+    const auto want_by_op = by_op(*want);
+    EXPECT_EQ(want_by_op.size(), want->events.size()) << "case " << iter;
+    EXPECT_TRUE(want_by_op == by_op(*got)) << "case " << iter;
+  }
+  EXPECT_GE(feasible, 50);
+  EXPECT_GT(deadlocks, 0);
+}
+
+TEST(OracleDiff, SimulatePipelineMatchesOracleStats) {
+  std::mt19937_64 rng(0x919E);
+  int deadlocks = 0, feasible = 0;
+  for (int iter = 0; iter < 120; ++iter) {
+    const SimCase c = random_sim_case(rng, iter);
+    for (int requests : {1, 2, 5}) {
+      const auto want = oracle::simulate_pipeline(c.g, c.schedule, c.cost, requests);
+      const auto got = sim::simulate_pipeline(c.g, c.schedule, c.cost, requests);
+      ASSERT_EQ(want.has_value(), got.has_value()) << "case " << iter;
+      if (!want.has_value()) {
+        ++deadlocks;
+        continue;
+      }
+      ++feasible;
+      EXPECT_EQ(want->num_requests, got->num_requests);
+      EXPECT_EQ(bits(want->first_latency_ms), bits(got->first_latency_ms))
+          << "case " << iter << ", " << requests << " requests";
+      EXPECT_EQ(bits(want->steady_latency_ms), bits(got->steady_latency_ms))
+          << "case " << iter << ", " << requests << " requests";
+      EXPECT_EQ(bits(want->makespan_ms), bits(got->makespan_ms))
+          << "case " << iter << ", " << requests << " requests";
+      EXPECT_EQ(bits(want->steady_interval_ms), bits(got->steady_interval_ms))
+          << "case " << iter << ", " << requests << " requests";
+    }
+  }
+  EXPECT_GE(feasible, 150);
+  EXPECT_GT(deadlocks, 0);
 }
 
 }  // namespace

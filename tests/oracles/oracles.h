@@ -1,0 +1,73 @@
+// Test oracles: from-scratch re-implementations of the §III-A stage timing.
+//
+// Production code times every stage DAG through sched::ScheduleState (and
+// Alg. 1's singleton list schedule through sched::ListScheduleState). The
+// functions here are the independent implementations that code replaced,
+// kept verbatim so the property suites compare the production core against
+// something other than itself:
+//   * evaluate_schedule / evaluate_partial_schedule: one Kahn pass over a
+//     freshly flattened, deduplicated stage DAG;
+//   * list_schedule: the priority-order list scheduler of Alg. 1, one full
+//     pass per call;
+//   * simulate_ops / simulate_pipeline: the simulators with their own stage
+//     flattening and Kahn passes.
+// None of this is linked into src/; it exists for tests only.
+#pragma once
+
+#include <optional>
+#include <vector>
+
+#include "cost/cost_model.h"
+#include "graph/graph.h"
+#include "sched/evaluate.h"
+#include "sched/schedule.h"
+#include "sim/pipeline_sim.h"
+#include "sim/timeline.h"
+
+namespace hios::oracle {
+
+/// Evaluates `schedule` for graph `g` with cost model `cost`.
+/// Returns nullopt when the schedule deadlocks (cycle between stage
+/// dependencies and per-GPU execution order). Ops absent from the schedule
+/// are not allowed (throws).
+std::optional<sched::Evaluation> evaluate_schedule(const graph::Graph& g,
+                                                   const sched::Schedule& schedule,
+                                                   const cost::CostModel& cost);
+
+/// Like evaluate_schedule but over the subset of nodes present in the
+/// schedule; edges to/from unscheduled nodes are ignored.
+std::optional<sched::Evaluation> evaluate_partial_schedule(const graph::Graph& g,
+                                                           const sched::Schedule& schedule,
+                                                           const cost::CostModel& cost);
+
+/// Result of the list-scheduling pass.
+struct ListScheduleResult {
+  sched::Schedule schedule;     ///< singleton stages, per-GPU priority order
+  double latency_ms = 0.0;      ///< max finish over placed ops
+  std::vector<double> start;    ///< per node; -1 when unmapped
+  std::vector<double> finish;   ///< per node; -1 when unmapped
+};
+
+/// Schedules every node v with mapping[v] >= 0 onto its GPU, visiting
+/// `order` (a topological order covering all nodes, typically
+/// graph::priority_order): each op starts after its GPU's tail and after
+/// every placed predecessor finishes (+ transfer across GPUs). Unmapped
+/// predecessors are ignored.
+ListScheduleResult list_schedule(const graph::Graph& g, const std::vector<int>& mapping,
+                                 const std::vector<graph::NodeId>& order, int num_gpus,
+                                 const cost::CostModel& cost);
+
+/// Op-accurate (relaxed-start) timeline, as sim::simulate_ops defines it.
+/// Returns nullopt on deadlock.
+std::optional<sim::Timeline> simulate_ops(const graph::Graph& g,
+                                          const sched::Schedule& schedule,
+                                          const cost::CostModel& cost);
+
+/// `num_requests` back-to-back inferences, as sim::simulate_pipeline
+/// defines them. Returns nullopt when the schedule deadlocks.
+std::optional<sim::PipelineStats> simulate_pipeline(const graph::Graph& g,
+                                                    const sched::Schedule& schedule,
+                                                    const cost::CostModel& cost,
+                                                    int num_requests);
+
+}  // namespace hios::oracle

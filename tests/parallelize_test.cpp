@@ -8,6 +8,7 @@
 #include "graph/algorithms.h"
 #include "models/examples.h"
 #include "models/random_dag.h"
+#include "oracles/oracles.h"
 #include "sched/evaluate.h"
 #include "sched/parallelize.h"
 #include "sched/scheduler.h"
@@ -53,7 +54,7 @@ TEST(Parallelize, NeverIncreasesLatency) {
     check_schedule(g, r.schedule);
     EXPECT_LE(r.latency_ms, before + 1e-9) << seed;
     // Reported latency matches a fresh evaluation.
-    EXPECT_NEAR(evaluate_schedule(g, r.schedule, kCost)->latency_ms, r.latency_ms, 1e-9);
+    EXPECT_NEAR(oracle::evaluate_schedule(g, r.schedule, kCost)->latency_ms, r.latency_ms, 1e-9);
   }
 }
 
@@ -172,12 +173,13 @@ void merge_window(Schedule& s, int gpu, int pos, int extent) {
 }
 
 /// Reference Alg. 2: parallelize()'s greedy, but every window is scored by
-/// deep-copying the Schedule and evaluating the copy from scratch, and the
-/// stage reachability is rebuilt after every accepted merge.
+/// deep-copying the Schedule and evaluating the copy with the from-scratch
+/// evaluator in tests/oracles/, and the stage reachability is rebuilt after
+/// every accepted merge.
 ParallelizeResult deep_copy_greedy(const graph::Graph& g, Schedule s, const cost::CostModel& cost,
                                    int window) {
   ParallelizeResult r;
-  double latency = evaluate_schedule(g, s, cost)->latency_ms;
+  double latency = oracle::evaluate_schedule(g, s, cost)->latency_ms;
   std::vector<std::vector<int>> flat;
   std::vector<DynBitset> reach = stage_reach(g, s, flat);
   const auto independent = [&](int gpu, int a, int b) {
@@ -216,7 +218,7 @@ ParallelizeResult deep_copy_greedy(const graph::Graph& g, Schedule s, const cost
       ++r.candidates_tried;
       Schedule candidate = s;
       merge_window(candidate, gpu, pos, extent);
-      const auto eval = evaluate_schedule(g, candidate, cost);
+      const auto eval = oracle::evaluate_schedule(g, candidate, cost);
       if (eval.has_value() && eval->latency_ms < best_latency) {
         best_latency = eval->latency_ms;
         best_extent = extent;

@@ -1,9 +1,9 @@
 // Randomized equivalence suite for the incremental scheduling core.
 //
-// The refactor's contract is *exact* equivalence: ScheduleState /
+// The core's contract is *exact* equivalence: ScheduleState /
 // ListScheduleState / StageTimeCache must produce bit-identical numbers to
-// the retained reference implementations (evaluate_schedule,
-// evaluate_partial_schedule, list_schedule, the inner cost model) — the
+// the independent implementations in tests/oracles/ (evaluate_schedule,
+// evaluate_partial_schedule, list_schedule) and the inner cost model — the
 // recurrences use only max and + over the same operands in the same order,
 // so no tolerance is needed or used. Across the suites below, well over
 // 200 randomized DAG / schedule / merge cases are exercised, including
@@ -24,10 +24,9 @@
 #include "graph/compiled_graph.h"
 #include "graph/longest_path.h"
 #include "models/random_dag.h"
+#include "oracles/oracles.h"
 #include "sched/core/list_state.h"
 #include "sched/core/schedule_state.h"
-#include "sched/evaluate.h"
-#include "sched/list_schedule.h"
 #include "sched/schedule.h"
 
 namespace hios::sched {
@@ -126,7 +125,7 @@ TEST(SchedCore, EvaluateMatchesReferenceExactly) {
     const graph::CompiledGraph cg(g);
     ScheduleState state(cg, cost);
     state.load(s);
-    expect_eval_equal(evaluate_schedule(g, s, cost), state.evaluate());
+    expect_eval_equal(oracle::evaluate_schedule(g, s, cost), state.evaluate());
   }
 }
 
@@ -145,7 +144,7 @@ TEST(SchedCore, DeadlockParityOnPermutedOrders) {
     const graph::CompiledGraph cg(g);
     ScheduleState state(cg, cost);
     state.load(s);
-    const auto ref = evaluate_schedule(g, s, cost);
+    const auto ref = oracle::evaluate_schedule(g, s, cost);
     expect_eval_equal(ref, state.evaluate());
     (ref.has_value() ? feasible : deadlocks) += 1;
   }
@@ -169,7 +168,7 @@ TEST(SchedCore, PartialSchedulesMatchPartialEvaluator) {
     const graph::CompiledGraph cg(g);
     ScheduleState state(cg, cost);
     state.load(s);
-    expect_eval_equal(evaluate_partial_schedule(g, s, cost), state.evaluate());
+    expect_eval_equal(oracle::evaluate_partial_schedule(g, s, cost), state.evaluate());
   }
 }
 
@@ -186,7 +185,7 @@ std::optional<double> deep_copy_merge_latency(const graph::Graph& g, Schedule s,
     dst.insert(dst.end(), src.begin(), src.end());
   }
   stages.erase(stages.begin() + pos + 1, stages.begin() + pos + 1 + extent);
-  const auto eval = evaluate_schedule(g, s, cost);
+  const auto eval = oracle::evaluate_schedule(g, s, cost);
   if (!eval.has_value()) return std::nullopt;
   return eval->latency_ms;
 }
@@ -523,7 +522,7 @@ TEST(SchedCore, ListStateMatchesFromScratchPass) {
         trial.set_gpu(v, gpu);
       }
       const double incremental = trial.latency();
-      const ListScheduleResult full = list_schedule(g, mapping, order, m, cost);
+      const oracle::ListScheduleResult full = oracle::list_schedule(g, mapping, order, m, cost);
       EXPECT_EQ(full.latency_ms, incremental);  // bit-identical
       for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(g.num_nodes()); ++v) {
         EXPECT_EQ(full.start[static_cast<std::size_t>(v)], trial.start(v));
@@ -552,7 +551,7 @@ TEST(SchedCore, ListStateMatchesAlg1TrialSequence) {
     std::vector<int> mapping(n, -1);
     const auto check = [&] {
       const double incremental = trial.latency();
-      const ListScheduleResult full = list_schedule(g, mapping, order, m, cost);
+      const oracle::ListScheduleResult full = oracle::list_schedule(g, mapping, order, m, cost);
       ++checks;
       ASSERT_EQ(std::bit_cast<uint64_t>(full.latency_ms), std::bit_cast<uint64_t>(incremental));
       for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(n); ++v) {

@@ -67,6 +67,35 @@ TEST(Schedule, FromJsonValidatesShape) {
   EXPECT_THROW(Schedule::from_json(j), Error);
 }
 
+TEST(Schedule, FromJsonRejectsBadGpuCounts) {
+  // The GPU count is checked against the gpus array before anything is
+  // sized from it: a negative count is a structured error, not a
+  // std::length_error, and a huge one allocates nothing.
+  for (const Json& count : {Json(-1), Json(0), Json(3), Json(2.5), Json(int64_t{1} << 40)}) {
+    Json j = Json::object();
+    j["num_gpus"] = count;
+    j["gpus"] = Json::array();
+    j["gpus"].push_back(Json::array());
+    j["gpus"].push_back(Json::array());
+    EXPECT_THROW(Schedule::from_json(j), Error) << count.dump();
+  }
+  Json none = Json::object();
+  none["num_gpus"] = -1;
+  none["gpus"] = Json::array();
+  EXPECT_THROW(Schedule::from_json(none), Error);
+  none["num_gpus"] = 0;
+  EXPECT_THROW(Schedule::from_json(none), Error);
+}
+
+TEST(Schedule, FromJsonRejectsOpIdsOutsideNodeIdRange) {
+  const graph::Graph g = models::make_fork_join(2);
+  for (const Json& id : {Json(-1), Json(int64_t{1} << 31), Json(1e18), Json("0")}) {
+    Json j = two_gpu_example().to_json(g);
+    j["gpus"].as_array()[0].as_array()[0].as_array()[0]["id"] = id;
+    EXPECT_THROW(Schedule::from_json(j), Error) << id.dump();
+  }
+}
+
 TEST(Validate, AcceptsGoodSchedule) {
   const graph::Graph g = models::make_fork_join(2);
   EXPECT_TRUE(validate_schedule(g, two_gpu_example()).empty());
