@@ -10,12 +10,14 @@
 //      reported at every slot count.
 //   2. Schedule cache: a warm cache lookup must cost <= 1% of the cold
 //      profile + HIOS-LP scheduling pass it replaces.
-//   3. Degraded mode: with GPU 3 down mid-trace, degraded-phase throughput
-//      must track the modelled survivor bound (full-plan latency /
-//      survivor-plan latency — the 3-of-4-GPUs capacity model) within
-//      contention slack, the recovered phase must regain >= 0.9x steady
-//      throughput, and no request may pay a cold reschedule (plan-pool
-//      misses == 0).
+//   3. Degraded mode: on RandWire, the zoo model whose 4-GPU plan is
+//      faster than its 3-GPU survivor plan, with GPU 3 down mid-trace the
+//      survivor plan must be slower than the full plan, degraded-phase
+//      throughput must fall below steady throughput and track the modelled
+//      survivor bound (full-plan latency / survivor-plan latency — the
+//      3-of-4-GPUs capacity model) within contention slack, the recovered
+//      phase must regain >= 0.9x steady throughput, and no request may pay
+//      a cold reschedule (plan-pool misses == 0).
 //   4. run_trace scaling: with hedging on, the serving loop's wall clock
 //      per request at 40k requests must stay within 3x of its cost at 5k
 //      (a per-dispatch cost that grows with trace length fails it).
@@ -172,11 +174,11 @@ bool prewarm_cost(bool enforce, Json& doc) {
 
 bool degraded_recovery(int num_requests, bool enforce, Json& doc) {
   bench::print_header("Degraded-mode serving",
-                      "SqueezeNet, 4 GPUs x 4 slots; GPU 3 dies at 30% and "
+                      "RandWire, 4 GPUs x 4 slots; GPU 3 dies at 30% and "
                       "recovers at 60% of the clean makespan");
-  const ops::Model model = models::make_squeezenet();
+  const ops::Model model = models::make_randwire();
   serve::TraceParams params;
-  params.models = {"squeezenet"};
+  params.models = {"randwire"};
   params.num_requests = num_requests;  // all at t = 0: saturation
   const serve::Trace trace = serve::Trace::random(params, 1);
 
@@ -190,7 +192,7 @@ bool degraded_recovery(int num_requests, bool enforce, Json& doc) {
   double clean_makespan = 0.0;
   {
     serve::Server server(opt);
-    server.register_model("squeezenet", model);
+    server.register_model("randwire", model);
     clean_makespan = server.run_trace(trace).makespan_ms;
   }
   const double down_at = 0.3 * clean_makespan;
@@ -201,7 +203,7 @@ bool degraded_recovery(int num_requests, bool enforce, Json& doc) {
   opt.health.probe_max_backoff_ms = 0.04 * clean_makespan;
 
   serve::Server server(opt);
-  server.register_model("squeezenet", model);
+  server.register_model("randwire", model);
   const serve::ServeReport report = server.run_trace(trace);
   const serve::Metrics::Snapshot s = server.metrics().snapshot();
 
@@ -287,6 +289,18 @@ bool degraded_recovery(int num_requests, bool enforce, Json& doc) {
   doc["degraded"] = std::move(j);
 
   bool ok = true;
+  if (!(survivor->latency_ms > full->latency_ms)) {
+    std::fprintf(stderr,
+                 "FAIL: survivor plan %.4f ms is not slower than the full plan %.4f ms; "
+                 "losing GPU 3 costs nothing, so the gate cannot fail\n",
+                 survivor->latency_ms, full->latency_ms);
+    ok = false;
+  }
+  if (!(measured_ratio < 1.0)) {
+    std::fprintf(stderr, "FAIL: degraded throughput ratio %.3f, need < 1 with GPU 3 down\n",
+                 measured_ratio);
+    ok = false;
+  }
   if (std::abs(measured_ratio - expected_ratio) > 0.2 * expected_ratio) {
     std::fprintf(stderr,
                  "FAIL: degraded throughput ratio %.3f outside modelled bound %.3f +- 20%%\n",

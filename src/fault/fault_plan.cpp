@@ -1,6 +1,8 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "util/rng.h"
 
@@ -41,16 +43,23 @@ void check_keys(const Json& j, const char* context,
   }
 }
 
+/// GPU id `field` of event `index` in `section`: an integer in [0, INT_MAX].
+int gpu_id(const Json& j, const char* section, std::size_t index, const char* field) {
+  const std::string what =
+      std::string("fault plan: ") + section + "[" + std::to_string(index) + "]." + field;
+  return static_cast<int>(j.as_int_in(0, std::numeric_limits<int>::max(), what.c_str()));
+}
+
 RetryPolicy retry_from_json(const Json& j) {
   check_keys(j, "retry",
              {"max_attempts", "initial_backoff_ms", "backoff_multiplier",
               "max_backoff_ms"});
   RetryPolicy r;
-  r.max_attempts = static_cast<int>(j.at("max_attempts").as_int());
+  r.max_attempts = static_cast<int>(j.at("max_attempts").as_int_in(
+      1, std::numeric_limits<int>::max(), "fault plan: retry.max_attempts"));
   r.initial_backoff_ms = j.at("initial_backoff_ms").as_number();
   r.backoff_multiplier = j.at("backoff_multiplier").as_number();
   r.max_backoff_ms = j.at("max_backoff_ms").as_number();
-  HIOS_CHECK(r.max_attempts >= 1, "retry policy needs at least one attempt");
   HIOS_CHECK(r.initial_backoff_ms >= 0.0,
              "fault plan: retry.initial_backoff_ms must be >= 0 (got "
                  << r.initial_backoff_ms << ")");
@@ -177,11 +186,8 @@ FaultPlan FaultPlan::from_json(const Json& json) {
   for (const Json& e : section("fail_stops").as_array()) {
     check_keys(e, "fail_stops", {"gpu", "at_ms"});
     FailStop f;
-    f.gpu = static_cast<int>(e.at("gpu").as_int());
+    f.gpu = gpu_id(e.at("gpu"), "fail_stops", i, "gpu");
     f.at_ms = e.at("at_ms").as_number();
-    HIOS_CHECK(f.gpu >= 0,
-               "fault plan: fail_stops[" << i << "].gpu must be >= 0 (got " << f.gpu
-                                         << ")");
     HIOS_CHECK(f.at_ms >= 0.0, "fault plan: fail_stops[" << i
                                                          << "].at_ms must be >= 0 (got "
                                                          << f.at_ms << ")");
@@ -192,12 +198,9 @@ FaultPlan FaultPlan::from_json(const Json& json) {
   for (const Json& e : section("stragglers").as_array()) {
     check_keys(e, "stragglers", {"gpu", "from_ms", "slowdown"});
     Straggler s;
-    s.gpu = static_cast<int>(e.at("gpu").as_int());
+    s.gpu = gpu_id(e.at("gpu"), "stragglers", i, "gpu");
     s.from_ms = e.at("from_ms").as_number();
     s.slowdown = e.at("slowdown").as_number();
-    HIOS_CHECK(s.gpu >= 0,
-               "fault plan: stragglers[" << i << "].gpu must be >= 0 (got " << s.gpu
-                                         << ")");
     HIOS_CHECK(s.from_ms >= 0.0, "fault plan: stragglers["
                                      << i << "].from_ms must be >= 0 (got " << s.from_ms
                                      << ")");
@@ -213,15 +216,13 @@ FaultPlan FaultPlan::from_json(const Json& json) {
                {"gpu_a", "gpu_b", "from_ms", "to_ms", "down", "bw_scale",
                 "extra_latency_ms"});
     LinkFault f;
-    f.gpu_a = static_cast<int>(e.at("gpu_a").as_int());
-    f.gpu_b = static_cast<int>(e.at("gpu_b").as_int());
+    f.gpu_a = gpu_id(e.at("gpu_a"), "link_faults", i, "gpu_a");
+    f.gpu_b = gpu_id(e.at("gpu_b"), "link_faults", i, "gpu_b");
     f.from_ms = e.at("from_ms").as_number();
     f.to_ms = e.contains("to_ms") ? e.at("to_ms").as_number() : kNever;
     f.down = e.at("down").as_bool();
     f.bw_scale = e.at("bw_scale").as_number();
     f.extra_latency_ms = e.at("extra_latency_ms").as_number();
-    HIOS_CHECK(f.gpu_a >= 0 && f.gpu_b >= 0,
-               "fault plan: link_faults[" << i << "] endpoints must be >= 0");
     HIOS_CHECK(f.gpu_a != f.gpu_b,
                "fault plan: link_faults[" << i << "] endpoints must differ");
     HIOS_CHECK(f.from_ms >= 0.0, "fault plan: link_faults["

@@ -1,5 +1,7 @@
 #include "graph/graph_json.h"
 
+#include <limits>
+
 namespace hios::graph {
 
 Json to_json(const Graph& g) {
@@ -27,14 +29,19 @@ Json to_json(const Graph& g) {
 }
 
 Graph from_json(const Json& json) {
+  constexpr int64_t kMaxNode = std::numeric_limits<NodeId>::max();
   Graph g(json.at("name").as_string());
   for (const Json& node : json.at("nodes").as_array()) {
     g.add_node(node.at("name").as_string(), node.at("weight").as_number(),
-               node.at("tag").as_int());
+               node.at("tag").as_int_in(std::numeric_limits<int64_t>::min(),
+                                        std::numeric_limits<int64_t>::max(),
+                                        "graph JSON: node tag"));
   }
   for (const Json& edge : json.at("edges").as_array()) {
-    const auto src = static_cast<NodeId>(edge.at("src").as_int());
-    const auto dst = static_cast<NodeId>(edge.at("dst").as_int());
+    const auto src =
+        static_cast<NodeId>(edge.at("src").as_int_in(0, kMaxNode, "graph JSON: edge src"));
+    const auto dst =
+        static_cast<NodeId>(edge.at("dst").as_int_in(0, kMaxNode, "graph JSON: edge dst"));
     g.add_edge(src, dst, edge.at("weight").as_number());
   }
   return g;

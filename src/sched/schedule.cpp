@@ -87,11 +87,8 @@ Schedule Schedule::from_json(const Json& json) {
     for (const Json& stage_json : gpu_array[i].as_array()) {
       Stage stage;
       for (const Json& op : stage_json.as_array()) {
-        const double id = op.at("id").as_number();
-        HIOS_CHECK(id >= 0 && id <= std::numeric_limits<graph::NodeId>::max(),
-                   "schedule JSON: op id " << id << " outside [0, "
-                                           << std::numeric_limits<graph::NodeId>::max() << "]");
-        stage.ops.push_back(static_cast<graph::NodeId>(op.at("id").as_int()));
+        stage.ops.push_back(static_cast<graph::NodeId>(op.at("id").as_int_in(
+            0, std::numeric_limits<graph::NodeId>::max(), "schedule JSON: op id")));
       }
       schedule.gpus[i].push_back(std::move(stage));
     }

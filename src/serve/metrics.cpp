@@ -9,53 +9,31 @@ void Metrics::on_submitted() {
   ++s_.submitted;
 }
 
-void Metrics::on_rejected() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.rejected;
-}
-
-void Metrics::on_breaker_rejected() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.breaker_rejected;
-}
-
 void Metrics::on_admitted(std::size_t queue_depth_after) {
   std::lock_guard<std::mutex> lock(mu_);
   ++s_.admitted;
   s_.queue_high_watermark = std::max(s_.queue_high_watermark, queue_depth_after);
 }
 
-void Metrics::on_completed(double latency_ms, double queue_ms) {
+void Metrics::on_finished(const Response& response, bool watchdog_fired) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++s_.completed;
-  latency_samples_.push_back(latency_ms);
-  queue_wait_samples_.push_back(queue_ms);
-}
-
-void Metrics::on_dropped() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.dropped;
-}
-
-void Metrics::on_failed(bool watchdog_fired) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.failed;
-  if (watchdog_fired) ++s_.watchdog_fires;
-}
-
-void Metrics::on_retried() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.retried;
-}
-
-void Metrics::on_hedged() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.hedged;
-}
-
-void Metrics::on_hedge_won() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.hedge_won;
+  switch (response.verdict) {
+    case Verdict::kRejected: ++s_.rejected; break;
+    case Verdict::kBreakerRejected: ++s_.breaker_rejected; break;
+    case Verdict::kCompleted:
+      ++s_.completed;
+      latency_samples_.push_back(response.latency_ms);
+      queue_wait_samples_.push_back(response.queue_ms);
+      break;
+    case Verdict::kDropped: ++s_.dropped; break;
+    case Verdict::kFailed:
+      ++s_.failed;
+      if (watchdog_fired) ++s_.watchdog_fires;
+      break;
+  }
+  s_.retried += response.attempts - 1;
+  if (response.hedged) ++s_.hedged;
+  if (response.hedge_won) ++s_.hedge_won;
 }
 
 void Metrics::on_pool_result(CacheOutcome outcome) {

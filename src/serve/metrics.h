@@ -1,7 +1,7 @@
 // Serving metrics: counters, tail-latency reservoirs, queue gauges.
 //
-// Every request ends in exactly one of five verdicts, giving the
-// conservation invariants the stress suite pins:
+// Every request ends in exactly one of five verdicts, recorded once by
+// on_finished, giving the conservation invariants the stress suite pins:
 //   submitted = admitted + rejected + breaker_rejected
 //   admitted  = completed + dropped + failed
 // Resilience events (retries, hedges, circuit-breaker sheds, health
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "runtime/failover.h"
+#include "serve/request.h"
 #include "serve/schedule_cache.h"
 #include "util/json.h"
 #include "util/stats.h"
@@ -39,24 +40,15 @@ class Metrics {
  public:
   // --- admission ------------------------------------------------------
   void on_submitted();
-  void on_rejected();
-  /// Shed by the per-GPU circuit breaker: the survivor plan cannot meet
-  /// the request's deadline, so it is bounced without queueing.
-  void on_breaker_rejected();
   void on_admitted(std::size_t queue_depth_after);
 
-  // --- terminal verdicts (admitted requests only) ---------------------
-  void on_completed(double latency_ms, double queue_ms);
-  void on_dropped();
-  void on_failed(bool watchdog_fired);
+  /// The one terminal record of a request: counts its verdict (a
+  /// completion also feeds the latency and queue-wait reservoirs, a
+  /// failure the watchdog counter when `watchdog_fired`), its
+  /// attempts - 1 re-dispatches as `retried`, and its hedge bits.
+  void on_finished(const Response& response, bool watchdog_fired = false);
 
   // --- degraded-mode resilience (DESIGN.md §6f) -----------------------
-  /// One re-dispatch of an admitted request after its attempt failed.
-  void on_retried();
-  /// A hedged second dispatch was issued for a slow request.
-  void on_hedged();
-  /// The hedge finished before the primary.
-  void on_hedge_won();
   /// A survivor-topology plan lookup: a miss paid a cold build on the
   /// serving path; a hit or a coalesced lookup did not, and counts as a hit.
   void on_pool_result(CacheOutcome outcome);

@@ -1,12 +1,12 @@
 // Bounded MPMC admission queue.
 //
-// The serving front door: producers (request submitters) race try_push,
-// consumers (stream-slot workers) race pop. Unlike runtime::Channel — the
-// unbounded SPSC edge channel of the engine — this queue is *bounded*:
-// try_push fails when the queue is at capacity, which is the server's
-// overload-rejection policy, and push blocks, which is the executor's
-// backpressure. close() wakes everyone; a closed queue drains its remaining
-// items before pop reports exhaustion, so no admitted request is lost.
+// The online server's front door: producers (request submitters) race
+// try_push, consumers (stream-slot workers) race pop. Unlike
+// runtime::Channel — the unbounded SPSC edge channel of the engine — this
+// queue is *bounded*: try_push fails when the queue is at capacity, which
+// is the server's overload-rejection policy. close() wakes every consumer;
+// a closed queue drains its remaining items before pop reports exhaustion,
+// so no admitted request is lost.
 #pragma once
 
 #include <condition_variable>
@@ -34,21 +34,6 @@ class BoundedQueue {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || queue_.size() >= capacity_) return false;
       queue_.push_back(std::move(value));
-      high_watermark_ = std::max(high_watermark_, queue_.size());
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocking enqueue; waits for space. False when the queue was closed
-  /// before the value could be accepted (value left untouched).
-  bool push(T&& value) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock, [&] { return closed_ || queue_.size() < capacity_; });
-      if (closed_) return false;
-      queue_.push_back(std::move(value));
-      high_watermark_ = std::max(high_watermark_, queue_.size());
     }
     not_empty_.notify_one();
     return true;
@@ -56,15 +41,11 @@ class BoundedQueue {
 
   /// Blocking dequeue; nullopt once the queue is closed *and* drained.
   std::optional<T> pop() {
-    std::optional<T> out;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-      if (queue_.empty()) return std::nullopt;  // closed and drained
-      out.emplace(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    not_full_.notify_one();
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [&] { return closed_ || !queue_.empty(); });
+    if (queue_.empty()) return std::nullopt;  // closed and drained
+    std::optional<T> out(std::move(queue_.front()));
+    queue_.pop_front();
     return out;
   }
 
@@ -75,12 +56,6 @@ class BoundedQueue {
       closed_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
   }
 
   std::size_t size() const {
@@ -88,21 +63,11 @@ class BoundedQueue {
     return queue_.size();
   }
 
-  /// Deepest the queue ever got (overload diagnostics).
-  std::size_t high_watermark() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return high_watermark_;
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
  private:
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> queue_;
-  std::size_t high_watermark_ = 0;
   bool closed_ = false;
 };
 

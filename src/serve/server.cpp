@@ -10,6 +10,7 @@
 #include "runtime/failover.h"
 #include "util/error.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace hios::serve {
 
@@ -171,6 +172,43 @@ Server::EngineOutcome Server::execute_plan(const ops::Model& model,
   return out;
 }
 
+void Server::probe_due(double now_ms) {
+  for (int g : health_.take_due_probes(now_ms)) {
+    FaultEvidence ev;
+    const bool up = !outage_active(options_.outages, g, now_ms);
+    ev.kind = up ? FaultEvidence::Kind::kProbeSuccess : FaultEvidence::Kind::kProbeFailure;
+    ev.gpu = g;
+    ev.at_ms = now_ms;
+    health_.observe(ev);
+    metrics_.on_probe(up);
+  }
+}
+
+void Server::sync_health(const std::vector<std::string>& models) {
+  for (; counted_transitions_ < health_.transitions().size(); ++counted_transitions_) {
+    metrics_.on_health_transition();
+  }
+  const std::pair<uint64_t, uint64_t> now{health_.generation(), health_.topology_epoch()};
+  if (!options_.prewarm_degraded || now == warmed_) return;
+  warmed_ = now;
+  for (const std::string& name : models) {
+    metrics_.on_pool_prewarm(
+        pool_.prewarm(model(name), health_.up_mask(), health_.topology_epoch()));
+  }
+}
+
+void Server::settle(Response& resp, EngineOutcome& out, double deadline_ms) {
+  if (!out.ok) {
+    resp.verdict = Verdict::kFailed;
+    resp.error = out.error;
+    return;
+  }
+  resp.verdict = resp.finish_ms > deadline_ms ? Verdict::kDropped : Verdict::kCompleted;
+  resp.outputs = std::move(out.outputs);
+  resp.recovered = out.recovered || resp.attempts > 1;
+  if (options_.faults != nullptr) metrics_.on_failover(out.recovery);
+}
+
 ServeReport Server::run_trace(const Trace& trace) {
   struct Item {
     const Request* req = nullptr;
@@ -178,8 +216,6 @@ ServeReport Server::run_trace(const Trace& trace) {
     std::shared_ptr<const CachedPlan> exec_plan;  ///< plan actually dispatched
     Response resp;
     std::size_t depth_at_admission = 0;  ///< queue depth right after admission
-    bool execute = false;                ///< provisionally completed -> engine run
-    int retries = 0;                     ///< failed attempts that re-dispatched
   };
 
   std::vector<Item> items(trace.requests.size());
@@ -207,27 +243,6 @@ ServeReport Server::run_trace(const Trace& trace) {
   // failure surfaced must still see the full mask (and become a victim
   // itself if it overlaps the outage).
   std::multimap<double, FaultEvidence> evidence;
-  std::size_t seen_transitions = 0;
-  std::pair<uint64_t, uint64_t> warmed{health_.generation(), health_.topology_epoch()};
-
-  auto note_transitions = [&] {
-    while (seen_transitions < health_.transitions().size()) {
-      metrics_.on_health_transition();
-      ++seen_transitions;
-    }
-  };
-  auto prewarm_current = [&] {
-    if (!options_.prewarm_degraded) return;
-    const std::pair<uint64_t, uint64_t> now{health_.generation(),
-                                            health_.topology_epoch()};
-    if (now == warmed) return;
-    warmed = now;
-    for (const std::string& name : trace_models) {
-      const std::size_t builds =
-          pool_.prewarm(model(name), health_.up_mask(), health_.topology_epoch());
-      metrics_.on_pool_prewarm(builds);
-    }
-  };
   // Replays queued evidence and due probes in time order up to `t`.
   // `t` must be finite: a permanent outage reschedules probes forever.
   auto advance_health = [&](double t) {
@@ -236,23 +251,12 @@ ServeReport Server::run_trace(const Trace& trace) {
       const double next_probe = health_.next_probe_due_ms();
       if (std::min(next_evidence, next_probe) > t) break;
       if (next_evidence <= next_probe) {
-        const FaultEvidence ev = evidence.begin()->second;
+        health_.observe(evidence.begin()->second);
         evidence.erase(evidence.begin());
-        health_.observe(ev);
       } else {
-        for (int g : health_.take_due_probes(next_probe)) {
-          FaultEvidence ev;
-          const bool up = !outage_active(options_.outages, g, next_probe);
-          ev.kind = up ? FaultEvidence::Kind::kProbeSuccess
-                       : FaultEvidence::Kind::kProbeFailure;
-          ev.gpu = g;
-          ev.at_ms = next_probe;
-          health_.observe(ev);
-          metrics_.on_probe(up);
-        }
+        probe_due(next_probe);
       }
-      note_transitions();
-      prewarm_current();
+      sync_health(trace_models);
     }
   };
 
@@ -277,12 +281,12 @@ ServeReport Server::run_trace(const Trace& trace) {
 
   struct Entry {
     double ready = 0.0;
-    RequestId id = -1;
     int attempt = 1;
     Item* item = nullptr;
     bool operator<(const Entry& other) const {
       if (ready != other.ready) return ready < other.ready;
-      if (id != other.id) return id < other.id;
+      const RequestId id = item->req->id, other_id = other.item->req->id;
+      if (id != other_id) return id < other_id;
       return attempt < other.attempt;
     }
   };
@@ -396,8 +400,7 @@ ServeReport Server::run_trace(const Trace& trace) {
         const bool feasible =
             retry_ready + plan->latency_ms <= item->req->deadline_ms;
         if (attempts_left && feasible) {
-          ++item->retries;
-          pending.insert(Entry{retry_ready, e.id, e.attempt + 1, item});
+          pending.insert(Entry{retry_ready, e.attempt + 1, item});
           metrics_.record_queue_depth(pending.size());
         } else {
           resp.verdict = Verdict::kFailed;
@@ -416,7 +419,6 @@ ServeReport Server::run_trace(const Trace& trace) {
       resp.latency_ms = finish - item->req->arrival_ms;
       resp.recovered = e.attempt > 1;
       lane_free[static_cast<std::size_t>(lane)] = finish;
-      item->execute = true;
       item->exec_plan = plan;
 
       // Hedge: when this dispatch projects far beyond the p99 of earlier
@@ -478,40 +480,27 @@ ServeReport Server::run_trace(const Trace& trace) {
       item->resp.verdict = Verdict::kRejected;
       item->resp.finish_ms = arrival;
     } else {
-      pending.insert(Entry{arrival, item->req->id, 1, item});
+      pending.insert(Entry{arrival, 1, item});
       item->depth_at_admission = pending.size();
       metrics_.record_queue_depth(pending.size());
     }
   }
   dispatch_until(kInf);
 
-  // --- engine execution of the admitted requests ------------------------
-  // Real worker pool fed by the bounded queue: the liveness/TSan surface.
-  // Results land in per-item slots, so thread interleaving cannot affect
-  // anything the report contains.
+  // --- engine execution of the committed dispatches ---------------------
+  // One thread per lane proves the tensors. Results land in per-item
+  // slots, so thread interleaving cannot affect anything the report
+  // contains.
   std::vector<EngineOutcome> outcomes(items.size());
   if (options_.use_engine) {
-    std::vector<std::size_t> work_items;
+    std::vector<std::size_t> work;
     for (std::size_t i = 0; i < items.size(); ++i) {
-      if (items[i].execute) work_items.push_back(i);
+      if (items[i].resp.verdict == Verdict::kCompleted) work.push_back(i);
     }
-    if (!work_items.empty()) {
-      BoundedQueue<std::size_t> work(options_.queue_capacity);
-      std::vector<std::thread> pool;
-      const int workers = std::min<int>(lanes, static_cast<int>(work_items.size()));
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        pool.emplace_back([&] {
-          while (auto idx = work.pop()) {
-            Item& item = items[*idx];
-            outcomes[*idx] = execute_plan(model(item.req->model), *item.exec_plan);
-          }
-        });
-      }
-      for (std::size_t idx : work_items) work.push(std::size_t{idx});
-      work.close();
-      for (auto& t : pool) t.join();
-    }
+    util::ThreadPool(lanes).parallel_for(work.size(), [&](std::size_t k) {
+      const Item& item = items[work[k]];
+      outcomes[work[k]] = execute_plan(model(item.req->model), *item.exec_plan);
+    });
   }
 
   // --- assemble report + metrics in request-id order --------------------
@@ -526,37 +515,16 @@ ServeReport Server::run_trace(const Trace& trace) {
   for (std::size_t idx : by_id) {
     Item& item = items[idx];
     Response& resp = item.resp;
+    EngineOutcome& out = outcomes[idx];
     metrics_.on_submitted();
-    if (resp.verdict == Verdict::kRejected) {
-      metrics_.on_rejected();
-    } else if (resp.verdict == Verdict::kBreakerRejected) {
-      metrics_.on_breaker_rejected();
-    } else {
+    if (resp.verdict != Verdict::kRejected && resp.verdict != Verdict::kBreakerRejected) {
       metrics_.on_admitted(item.depth_at_admission);
-      for (int r = 0; r < item.retries; ++r) metrics_.on_retried();
-      if (resp.hedged) metrics_.on_hedged();
-      if (resp.hedge_won) metrics_.on_hedge_won();
-      if (item.execute && options_.use_engine) {
-        EngineOutcome& out = outcomes[idx];
-        if (!out.ok) {
-          resp.verdict = Verdict::kFailed;
-          resp.error = out.error;
-          metrics_.on_failed(out.watchdog);
-        } else {
-          resp.outputs = std::move(out.outputs);
-          resp.recovered = resp.recovered || out.recovered;
-          metrics_.on_completed(resp.latency_ms, resp.queue_ms);
-          if (options_.faults != nullptr) metrics_.on_failover(out.recovery);
-          report.timeline.merge(out.timeline.shifted(resp.start_ms));
-        }
-      } else if (resp.verdict == Verdict::kCompleted) {
-        metrics_.on_completed(resp.latency_ms, resp.queue_ms);
-      } else if (resp.verdict == Verdict::kDropped) {
-        metrics_.on_dropped();
-      } else {
-        metrics_.on_failed(false);
-      }
     }
+    if (options_.use_engine && resp.verdict == Verdict::kCompleted) {
+      settle(resp, out, item.req->deadline_ms);
+      if (out.ok) report.timeline.merge(out.timeline.shifted(resp.start_ms));
+    }
+    metrics_.on_finished(resp, out.watchdog);
     report.makespan_ms = std::max(report.makespan_ms, resp.finish_ms);
     report.responses.push_back(std::move(resp));
   }
@@ -594,12 +562,12 @@ std::future<Response> Server::submit(Request request) {
     metrics_.on_admitted(online_queue_->size());
     metrics_.record_queue_depth(online_queue_->size());
   } else {
-    metrics_.on_rejected();
     Response resp;
     resp.id = id;
     resp.verdict = Verdict::kRejected;
     resp.start_ms = arrival;
     resp.finish_ms = arrival;
+    metrics_.on_finished(resp);
     item.promise.set_value(std::move(resp));
   }
   return future;
@@ -611,117 +579,66 @@ void Server::drain() {
   workers_.clear();
 }
 
-void Server::observe_online_failures(const std::string& model_name,
-                                     const std::vector<int>& failed_gpus,
-                                     double at_ms) {
-  if (failed_gpus.empty()) return;
-  std::size_t new_transitions = 0;
-  uint32_t mask = kFullMask;
-  uint64_t epoch = 0;
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    const std::size_t before = health_.transitions().size();
-    for (int g : failed_gpus) {
-      if (g < 0 || g >= health_.num_gpus()) continue;
-      FaultEvidence ev;
-      ev.kind = FaultEvidence::Kind::kFailStop;
-      ev.gpu = g;
-      ev.at_ms = at_ms;
-      ev.detail = "failover-observed fail-stop";
-      health_.observe(ev);
-    }
-    new_transitions = health_.transitions().size() - before;
-    mask = health_.up_mask();
-    epoch = health_.topology_epoch();
-  }
-  for (std::size_t i = 0; i < new_transitions; ++i) metrics_.on_health_transition();
-  if (new_transitions > 0 && options_.prewarm_degraded) {
-    // Prewarm in the observing worker: "background" relative to the other
-    // lanes, which keep serving while the survivor plans build.
-    const std::size_t builds = pool_.prewarm(model(model_name), mask, epoch);
-    metrics_.on_pool_prewarm(builds);
-  }
-}
-
 void Server::online_worker() {
   while (auto popped = online_queue_->pop()) {
     OnlineItem item = std::move(*popped);
     const Request& req = item.request;
     Response resp;
     resp.id = req.id;
+    EngineOutcome out;
     try {
       {
-        // Optimistic half-open probing: a due probe lets the GPU take
-        // traffic again; the next observed failure re-marks it down.
+        // Half-open probing: a due probe succeeds unless an outage window
+        // covers its GPU (online servers normally script none), so the GPU
+        // takes traffic again; the next observed failure re-marks it down.
         std::lock_guard<std::mutex> lock(health_mu_);
-        for (int g : health_.take_due_probes(req.arrival_ms)) {
-          FaultEvidence ev;
-          ev.kind = FaultEvidence::Kind::kProbeSuccess;
-          ev.gpu = g;
-          ev.at_ms = req.arrival_ms;
-          health_.observe(ev);
-          metrics_.on_probe(true);
-        }
+        probe_due(req.arrival_ms);
+        sync_health({req.model});
       }
-      const int attempts_allowed = 1 + std::max(0, options_.max_retries);
+      const int attempts_allowed = 1 + options_.max_retries;
       std::shared_ptr<const CachedPlan> plan;
-      EngineOutcome out;
       for (int attempt = 1; attempt <= attempts_allowed; ++attempt) {
+        resp.attempts = attempt;
         TopologyVersion topo;
         {
           std::lock_guard<std::mutex> lock(health_mu_);
           topo = TopologyVersion{health_.up_mask(), health_.topology_epoch()};
         }
         plan = lookup_plan(req.model, topo);
-        resp.attempts = attempt;
         if (options_.use_engine) {
           out = execute_plan(model(req.model), *plan);
         } else {
           out = EngineOutcome{};
           out.ok = true;
         }
-        if (out.ok) {
-          if (options_.use_engine && options_.faults != nullptr) {
-            metrics_.on_failover(out.recovery);
-            // Schedule-device ids -> platform GPU ids through the plan's
-            // survivor list before they become shared health evidence.
-            std::vector<int> failed;
-            for (int g : out.recovery.failed_gpus) {
-              if (g >= 0 && g < static_cast<int>(plan->gpus.size())) {
-                failed.push_back(plan->gpus[static_cast<std::size_t>(g)]);
-              }
-            }
-            observe_online_failures(req.model, failed, req.arrival_ms);
-          }
-          break;
+        if (!out.ok) continue;
+        // Schedule-device ids -> platform GPU ids through the plan's
+        // survivor list before they become shared health evidence.
+        std::lock_guard<std::mutex> lock(health_mu_);
+        for (int g : out.recovery.failed_gpus) {
+          if (g < 0 || g >= static_cast<int>(plan->gpus.size())) continue;
+          FaultEvidence ev;
+          ev.kind = FaultEvidence::Kind::kFailStop;
+          ev.gpu = plan->gpus[static_cast<std::size_t>(g)];
+          ev.at_ms = req.arrival_ms;
+          ev.detail = "failover-observed fail-stop";
+          health_.observe(ev);
         }
-        if (attempt < attempts_allowed) metrics_.on_retried();
+        sync_health({req.model});
+        break;
       }
       resp.base_ms = plan->latency_ms;
       resp.start_ms = req.arrival_ms;
+      resp.finish_ms = req.arrival_ms + plan->latency_ms;
+      resp.latency_ms = plan->latency_ms;
       resp.topo_mask = plan->topo_mask;
-      if (!out.ok) {
-        resp.verdict = Verdict::kFailed;
-        resp.error = out.error;
-        metrics_.on_failed(out.watchdog);
-      } else {
-        resp.finish_ms = req.arrival_ms + plan->latency_ms;
-        resp.latency_ms = plan->latency_ms;
-        resp.outputs = std::move(out.outputs);
-        resp.recovered = out.recovered || resp.attempts > 1;
-        if (resp.finish_ms > req.deadline_ms) {
-          resp.verdict = Verdict::kDropped;
-          metrics_.on_dropped();
-        } else {
-          resp.verdict = Verdict::kCompleted;
-          metrics_.on_completed(resp.latency_ms, resp.queue_ms);
-        }
-      }
+      settle(resp, out, req.deadline_ms);
     } catch (const std::exception& e) {
       resp.verdict = Verdict::kFailed;
       resp.error = e.what();
-      metrics_.on_failed(false);
+      out.watchdog = false;
     }
+    metrics_.on_finished(resp, out.watchdog);
     item.promise.set_value(std::move(resp));
   }
 }

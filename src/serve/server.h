@@ -36,7 +36,7 @@
 //     trace. Admission, dispatch, contention, health transitions, probes,
 //     retries, and every metric are computed in virtual time (bit-identical
 //     across reruns and thread counts); engine execution of the admitted
-//     requests still runs on a real worker pool fed by the bounded queue,
+//     requests then fans out over num_lanes() threads (util::ThreadPool),
 //     proving the tensors. GPU failures come from ServerOptions::outages
 //     (server-virtual-time windows shared by all requests).
 //   * start()/submit()/drain() — online API: callers race submit() against
@@ -45,6 +45,11 @@
 //     order (hence reservoir insertion order) is scheduling-dependent.
 //     Health state is fed from observed failover recoveries and shared
 //     across lanes under a mutex.
+//
+// Both share one request life cycle: probe_due() runs due health probes,
+// sync_health() counts health transitions and prewarms survivor plans,
+// settle() turns an engine outcome into the response's verdict, and
+// Metrics::on_finished() records the final response.
 #pragma once
 
 #include <future>
@@ -52,6 +57,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cost/gpu_spec.h"
@@ -197,9 +203,16 @@ class Server {
                                                 TopologyVersion topo = {});
   EngineOutcome execute_plan(const ops::Model& model, const CachedPlan& plan);
   void online_worker();
-  /// Online path: observed failed GPUs -> health evidence + prewarm.
-  void observe_online_failures(const std::string& model_name,
-                               const std::vector<int>& failed_gpus, double at_ms);
+  /// Takes every probe due at `now_ms`; a probe succeeds unless an outage
+  /// window covers its GPU at that instant.
+  void probe_due(double now_ms);
+  /// Counts the health transitions not counted yet and, when (generation,
+  /// topology epoch) moved since the last prewarm, prewarms the survivor
+  /// plans of `models`.
+  void sync_health(const std::vector<std::string>& models);
+  /// Settles a dispatched `resp` from its engine outcome: failed with the
+  /// error, or the outputs and recovered bit, dropped past `deadline_ms`.
+  void settle(Response& resp, EngineOutcome& out, double deadline_ms);
 
   ServerOptions options_;
   sched::SchedulerConfig config_;  ///< options_.config with num_gpus applied
@@ -207,7 +220,10 @@ class Server {
   Metrics metrics_;
   HealthTracker health_;
   PlanPool pool_;
-  mutable std::mutex health_mu_;   ///< guards health_ on the online path
+  /// Guards health_, counted_transitions_ and warmed_ on the online path.
+  mutable std::mutex health_mu_;
+  std::size_t counted_transitions_ = 0;     ///< health transitions in Metrics
+  std::pair<uint64_t, uint64_t> warmed_{};  ///< (generation, epoch) last prewarmed
   std::map<std::string, ops::Model> models_;
   mutable std::mutex models_mu_;
 

@@ -20,6 +20,17 @@ double Json::as_number() const {
 
 int64_t Json::as_int() const { return static_cast<int64_t>(std::llround(as_number())); }
 
+int64_t Json::as_int_in(int64_t lo, int64_t hi, const char* what) const {
+  HIOS_CHECK(is_number(), what << " must be a number");
+  const double x = std::get<double>(value_);
+  // [-2^63, 2^63) is where the conversion to int64_t is defined.
+  HIOS_CHECK(std::trunc(x) == x && x >= -0x1p63 && x < 0x1p63 &&
+                 static_cast<int64_t>(x) >= lo && static_cast<int64_t>(x) <= hi,
+             what << " must be an integer in [" << lo << ", " << hi << "] (got " << x
+                  << ")");
+  return static_cast<int64_t>(x);
+}
+
 const std::string& Json::as_string() const {
   HIOS_CHECK(is_string(), "Json: not a string");
   return std::get<std::string>(value_);

@@ -48,6 +48,9 @@ class Json {
   bool as_bool() const;
   double as_number() const;
   int64_t as_int() const;
+  /// Checked integer read for outside input: throws hios::Error naming
+  /// `what` unless the value is a number, integral, and in [lo, hi].
+  int64_t as_int_in(int64_t lo, int64_t hi, const char* what) const;
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;

@@ -1,7 +1,8 @@
 // Deterministic per-call fan-out for coarse, independent work units.
 //
-// Its one production caller is PlanPool::prewarm, which builds the plans
-// for distinct survivor masks concurrently. The schedulers' search loops
+// Its production callers are PlanPool::prewarm, which builds the plans
+// for distinct survivor masks concurrently, and Server::run_trace, which
+// runs the engine for its committed dispatches. The schedulers' search loops
 // run serially: their per-trial work is too fine-grained to beat the
 // dispatch cost (DESIGN.md §6g). Callers must keep output byte-identical
 // for any lane count, including 1; two rules make that composable:

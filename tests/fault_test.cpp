@@ -149,6 +149,21 @@ TEST(FaultPlan, FromJsonRejectsOutOfRangeValues) {
   EXPECT_THROW(FaultPlan::from_json(Json::parse(
                    R"({"retry": {"initial_backoff_ms": -0.5}})")),
                Error);
+  // Integers too wide for an int, and fractional ones: each of these once
+  // loaded as GPU 1 (or a 2-attempt policy).
+  for (const char* doc : {
+           R"({"fail_stops": [{"gpu": 4294967297, "at_ms": 1.0}]})",
+           R"({"fail_stops": [{"gpu": 1.4, "at_ms": 1.0}]})",
+           R"({"stragglers": [{"gpu": 4294967297, "from_ms": 0.0, "slowdown": 2.0}]})",
+           R"({"link_faults": [{"gpu_a": 0, "gpu_b": 4294967297, "from_ms": 0.0,
+                                "down": true, "bw_scale": 1.0, "extra_latency_ms": 0.0}]})",
+           R"({"link_faults": [{"gpu_a": 1.4, "gpu_b": 0, "from_ms": 0.0,
+                                "down": true, "bw_scale": 1.0, "extra_latency_ms": 0.0}]})",
+           R"({"retry": {"max_attempts": 2.4, "initial_backoff_ms": 0.1,
+                         "backoff_multiplier": 2.0, "max_backoff_ms": 1.0}})",
+       }) {
+    EXPECT_THROW(FaultPlan::from_json(Json::parse(doc)), Error) << doc;
+  }
   // The error is indexed so a long script pinpoints the bad event.
   try {
     FaultPlan::from_json(Json::parse(
@@ -157,6 +172,13 @@ TEST(FaultPlan, FromJsonRejectsOutOfRangeValues) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("fail_stops[1]"), std::string::npos)
         << e.what();
+  }
+  try {
+    FaultPlan::from_json(Json::parse(
+        R"({"fail_stops": [{"gpu": 0, "at_ms": 1.0}, {"gpu": 1.5, "at_ms": 2.0}]})"));
+    FAIL() << "a fractional GPU must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("fail_stops[1].gpu"), std::string::npos) << e.what();
   }
 }
 

@@ -1,6 +1,9 @@
 // Unit tests for the JSON value / parser / writer.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "util/json.h"
 
 namespace hios {
@@ -85,6 +88,24 @@ TEST(Json, TypeMismatchThrows) {
   EXPECT_THROW(j.as_object(), Error);
   EXPECT_THROW(j.as_string(), Error);
   EXPECT_THROW(Json(1).as_bool(), Error);
+}
+
+TEST(Json, AsIntInChecksIntegralityAndRange) {
+  EXPECT_EQ(Json(7).as_int_in(0, 10, "x"), 7);
+  EXPECT_EQ(Json(-3).as_int_in(-3, -3, "x"), -3);
+  EXPECT_THROW(Json(11).as_int_in(0, 10, "x"), Error);
+  EXPECT_THROW(Json(-1).as_int_in(0, 10, "x"), Error);
+  EXPECT_THROW(Json(1.4).as_int_in(0, 10, "x"), Error);
+  EXPECT_THROW(Json(int64_t{1} << 32).as_int_in(0, INT32_MAX, "x"), Error);
+  EXPECT_THROW(Json(1e300).as_int_in(INT64_MIN, INT64_MAX, "x"), Error);
+  EXPECT_THROW(Json(std::nan("")).as_int_in(INT64_MIN, INT64_MAX, "x"), Error);
+  EXPECT_THROW(Json("3").as_int_in(0, 10, "x"), Error);
+  try {
+    Json(2.5).as_int_in(0, 10, "edge src");
+    FAIL() << "a fractional value must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("edge src"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Json, MissingKeyThrows) {

@@ -55,6 +55,18 @@ TEST(GraphJson, MalformedDocumentsThrow) {
   EXPECT_THROW(graph::from_json(Json::parse(R"({"name":"x","nodes":
       [{"name":"a","weight":-1,"tag":-1}],"edges":[]})")),
                Error);  // negative weight
+  // Ids too wide for a node, and fractional ones: 4294967296 once loaded
+  // as node 0 and 1.4 as node 1.
+  for (const char* doc : {
+           R"({"name":"x","nodes":[{"name":"a","weight":1,"tag":-1},
+               {"name":"b","weight":1,"tag":-1}],"edges":[{"src":4294967296,"dst":1,"weight":1}]})",
+           R"({"name":"x","nodes":[{"name":"a","weight":1,"tag":-1},
+               {"name":"b","weight":1,"tag":-1}],"edges":[{"src":0,"dst":1.4,"weight":1}]})",
+           R"({"name":"x","nodes":[{"name":"a","weight":1,"tag":0.5}],"edges":[]})",
+           R"({"name":"x","nodes":[{"name":"a","weight":1,"tag":1e300}],"edges":[]})",
+       }) {
+    EXPECT_THROW(graph::from_json(Json::parse(doc)), Error) << doc;
+  }
 }
 
 TEST(GraphJson, EmptyGraph) {

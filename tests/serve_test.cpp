@@ -2,7 +2,6 @@
 // scale, schedule cache, metrics conservation, and virtual-time admission.
 #include <gtest/gtest.h>
 
-#include <thread>
 
 #include "cost/cost_model.h"
 #include "models/examples.h"
@@ -28,7 +27,7 @@ TEST(BoundedQueue, RejectsWhenFullAndDrainsWhenClosed) {
   EXPECT_TRUE(q.try_push(1));
   EXPECT_TRUE(q.try_push(2));
   EXPECT_FALSE(q.try_push(3));  // full
-  EXPECT_EQ(q.high_watermark(), 2u);
+  EXPECT_EQ(q.size(), 2u);
   q.close();
   EXPECT_FALSE(q.try_push(4));  // closed
   EXPECT_EQ(q.pop(), 1);        // closed queues still drain
@@ -42,15 +41,6 @@ TEST(BoundedQueue, FailedTryPushLeavesValueIntact) {
   EXPECT_TRUE(q.try_push(std::move(a)));
   EXPECT_FALSE(q.try_push(std::move(b)));
   EXPECT_EQ(b, "second");  // rejected value still usable by the caller
-}
-
-TEST(BoundedQueue, BlockingPushWaitsForSpace) {
-  BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.try_push(1));
-  std::thread t([&] { EXPECT_TRUE(q.push(2)); });
-  EXPECT_EQ(q.pop(), 1);  // frees the slot the pusher is waiting on
-  t.join();
-  EXPECT_EQ(q.pop(), 2);
 }
 
 TEST(ContentionScale, MatchesMalleableTaskFormula) {
@@ -225,17 +215,28 @@ TEST(ServerOptions, ValidateRejectsBadFields) {
   expect_invalid([](ServerOptions& o) { o.health.probe_backoff_ms = 0.0; });
 }
 
+/// A terminal response for Metrics::on_finished.
+Response finished(Verdict verdict, double latency_ms = 0.0, double queue_ms = 0.0) {
+  Response r;
+  r.verdict = verdict;
+  r.latency_ms = latency_ms;
+  r.queue_ms = queue_ms;
+  return r;
+}
+
 TEST(Metrics, DegradedModeCountersConserve) {
   Metrics m;
   for (int i = 0; i < 4; ++i) m.on_submitted();
-  m.on_breaker_rejected();
+  m.on_finished(finished(Verdict::kBreakerRejected));
   for (int i = 0; i < 3; ++i) m.on_admitted(1);
-  m.on_completed(5.0, 0.5);
-  m.on_completed(6.0, 0.5);
-  m.on_failed(false);
-  m.on_retried();
-  m.on_hedged();
-  m.on_hedge_won();
+  Response hedged = finished(Verdict::kCompleted, 5.0, 0.5);
+  hedged.hedged = true;
+  hedged.hedge_won = true;
+  m.on_finished(hedged);
+  Response retried = finished(Verdict::kCompleted, 6.0, 0.5);
+  retried.attempts = 2;
+  m.on_finished(retried);
+  m.on_finished(finished(Verdict::kFailed));
   m.on_pool_result(CacheOutcome::kHit);
   m.on_pool_result(CacheOutcome::kMiss);
   m.on_pool_prewarm(3);
@@ -268,7 +269,9 @@ TEST(Metrics, DegradedModeCountersConserve) {
 
   // hedge_won > hedged is a broken invariant, not a countable state.
   Metrics broken;
-  broken.on_hedge_won();
+  Response won_unhedged = finished(Verdict::kCompleted);
+  won_unhedged.hedge_won = true;
+  broken.on_finished(won_unhedged);
   EXPECT_FALSE(broken.snapshot().conserved());
 }
 
@@ -276,12 +279,12 @@ TEST(Metrics, ConservationAndJson) {
   Metrics m;
   m.set_queue_capacity(8);
   for (int i = 0; i < 5; ++i) m.on_submitted();
-  m.on_rejected();
+  m.on_finished(finished(Verdict::kRejected));
   for (int i = 0; i < 4; ++i) m.on_admitted(1);
-  m.on_completed(10.0, 1.0);
-  m.on_completed(20.0, 2.0);
-  m.on_dropped();
-  m.on_failed(/*watchdog_fired=*/true);
+  m.on_finished(finished(Verdict::kCompleted, 10.0, 1.0));
+  m.on_finished(finished(Verdict::kCompleted, 20.0, 2.0));
+  m.on_finished(finished(Verdict::kDropped));
+  m.on_finished(finished(Verdict::kFailed), /*watchdog_fired=*/true);
   m.set_makespan(100.0);
   const Metrics::Snapshot s = m.snapshot();
   EXPECT_TRUE(s.conserved());
@@ -418,6 +421,47 @@ TEST(Server, UnknownModelFailsTheRequestNotTheServer) {
   EXPECT_EQ(r.verdict, Verdict::kFailed);
   EXPECT_NE(r.error.find("unknown model"), std::string::npos);
   EXPECT_TRUE(server.metrics().snapshot().conserved());
+}
+
+TEST(Server, OnlineHealthTransitionsMatchTracker) {
+  // The first request marks GPU 0 down; the second arrives after its probe
+  // is due, so the probe brings GPU 0 back (Down -> Probing -> Healthy)
+  // before the request marks it down again. Metrics counts all four.
+  fault::FaultPlan plan;
+  plan.fail_stops.push_back(fault::FailStop{0, 0.0});
+  ServerOptions opt;
+  opt.platform = cost::make_a40_server(2);
+  opt.slots_per_gpu = 1;
+  opt.faults = &plan;
+  Server server(opt);
+  server.register_model("tiny", tiny_model());
+  server.start();
+  server.submit({0, "tiny", 0.0, kNoDeadline}).wait();
+  server.submit({1, "tiny", 1000.0, kNoDeadline}).wait();
+  server.drain();
+  EXPECT_EQ(server.health().transitions().size(), 4u);
+  EXPECT_EQ(server.metrics().snapshot().health_transitions,
+            static_cast<int64_t>(server.health().transitions().size()));
+}
+
+TEST(Server, RepeatedRunTraceCountsEachTransitionOnce) {
+  // The first trace marks GPU 0 down; the probe that brings it back is
+  // only due during the second trace. Neither run recounts the other's
+  // transitions.
+  ServerOptions opt = sim_options(2, 2);
+  opt.outages.push_back(GpuOutage{0, 0.0, 0.05});
+  Server server(opt);
+  server.register_model("tiny", tiny_model());
+  TraceParams params;
+  params.models = {"tiny"};
+  params.num_requests = 40;
+  Trace trace = Trace::random(params, 5);
+  server.run_trace(trace);
+  for (Request& r : trace.requests) r.arrival_ms += 10.0;
+  server.run_trace(trace);
+  EXPECT_EQ(server.health().transitions().size(), 3u);
+  EXPECT_EQ(server.metrics().snapshot().health_transitions,
+            static_cast<int64_t>(server.health().transitions().size()));
 }
 
 }  // namespace
