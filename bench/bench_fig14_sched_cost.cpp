@@ -9,20 +9,29 @@
 // Besides the sweep, the harness measures the raw scheduling wall-clock of
 // HIOS-LP (with the Alg. 2 parallelize pass) on a 512-op / 4-GPU random
 // DAG — the regression benchmark for the incremental scheduling core
-// (sched/core/, see DESIGN.md §6d) — together with the deterministic work
-// counters of Alg. 1 (paths, path-DP positions, list-trial ranks) and
-// Alg. 2 (candidates, stage timings, independence-search stages) on that
-// DAG, which unlike the wall clock are the same on every machine. The full
-// run also sweeps HIOS-LP's wall clock over 256- to 8192-op DAGs, split
-// into Alg. 1 and Alg. 2, and prints the process peak RSS after the
-// largest (the figures BENCH_sched.json records). Flags:
+// (sched/core/, see DESIGN.md §6d) — and, after each repetition, a fixed
+// in-process reference operation, so the wall clock can also be read in
+// units of the host's speed; together with the deterministic work
+// counters of Alg. 1 (paths, path-DP positions, list-state walks and
+// ranks) and Alg. 2 (candidates, stage timings, independence-search
+// stages) on that DAG, which unlike the wall clock are the same on every
+// machine. The full run also sweeps HIOS-LP's wall clock over 256- to
+// 8192-op DAGs, split into Alg. 1 and Alg. 2, and prints the process peak
+// RSS after the largest (the figures BENCH_sched.json records). Flags:
 //   --json <path>       write all results as machine-readable JSON
 //   --smoke             skip the image-size sweeps (CI regression mode)
 //   --assert-max-ms <b> exit 1 when the 512-op wall-clock exceeds b ms
+//   --assert-max-ratio <r>  exit 1 when the 512-op wall-clock exceeds r
+//                       times an in-process reference operation's (a bound
+//                       in units of the host's own speed)
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <unordered_map>
 
 #include "bench_common.h"
 #include "sched/hios_lp.h"
@@ -64,9 +73,46 @@ void sweep(const std::string& title, const std::vector<int64_t>& sizes,
   bench::print_table(table, csv_tag);
 }
 
+/// One run of a fixed reference operation, built like perfbench's
+/// ReferenceStage: sort 32 768 fixed keys, hash-index every fourth and look
+/// all of them up. Timing the scheduler in its units makes a bound that
+/// holds on fast and slow hosts alike.
+struct Reference {
+  double ms = 0.0;
+  double sink = 0.0;  ///< the operation's result, reported so it is not elided
+};
+
+Reference run_reference() {
+  std::vector<uint64_t> keys(std::size_t{1} << 15);
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (uint64_t& k : keys) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    k = x;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<uint64_t> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  std::unordered_map<uint64_t, std::size_t> index;
+  for (std::size_t i = 0; i < sorted.size(); i += 4) index.emplace(sorted[i], i);
+  std::size_t found = 0;
+  double acc = 0.0;
+  for (uint64_t k : keys) {
+    const auto it = index.find(k);
+    if (it != index.end()) found += it->second;
+    acc += std::sqrt(static_cast<double>(k >> 11));
+  }
+  Reference ref;
+  ref.ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  ref.sink = static_cast<double>(found) + acc;
+  return ref;
+}
+
 /// Scheduling wall-clock of HIOS-LP + parallelize on the regression DAG
-/// (512 ops, 4 GPUs). Best of `reps` to shed scheduler noise; the latency
-/// must be independent of the repetition (deterministic algorithm).
+/// (512 ops, 4 GPUs), and of the reference operation run after each call.
+/// Best of `reps` to shed scheduler noise; the latency must be independent
+/// of the repetition (deterministic algorithm).
 Json measure_sched_wallclock(int reps) {
   models::RandomDagParams p;
   p.num_ops = 512;
@@ -79,10 +125,14 @@ Json measure_sched_wallclock(int reps) {
   config.num_gpus = 4;
 
   double best_ms = 0.0, latency_ms = 0.0;
+  Reference reference;
   for (int rep = 0; rep < reps; ++rep) {
     const auto r = sched::make_scheduler("hios-lp")->schedule(g, cost, config);
     if (rep == 0 || r.scheduling_ms < best_ms) best_ms = r.scheduling_ms;
     latency_ms = r.latency_ms;
+    const Reference ref = run_reference();
+    if (rep == 0 || ref.ms < reference.ms) reference.ms = ref.ms;
+    reference.sink += ref.sink;
   }
 
   // Deterministic work counters on the same DAG: HIOS-LP is Alg. 1
@@ -106,19 +156,25 @@ Json measure_sched_wallclock(int reps) {
   j["latency_ms"] = latency_ms;
   j["baseline_prerefactor_ms"] = baseline_prerefactor_ms;
   j["speedup_vs_baseline"] = baseline_prerefactor_ms / best_ms;
+  j["reference_ms"] = reference.ms;
+  j["reference_sink"] = reference.sink;
+  j["ratio_to_reference"] = best_ms / reference.ms;
   j["alg1_paths"] = alg1.paths;
   j["alg1_positions_visited"] = alg1.positions_visited;
+  j["alg1_walks"] = alg1.walks;
   j["alg1_ranks_walked"] = alg1.ranks_walked;
   j["alg2_candidates"] = alg2.candidates_tried;
   j["alg2_stages_retimed"] = alg2.stages_retimed;
   j["alg2_stages_searched"] = alg2.stages_searched;
   std::printf("HIOS-LP 512 ops / 4 GPUs: scheduling %.2f ms "
               "(pre-refactor baseline %.1f ms, %.1fx), latency %.3f ms\n"
-              "Alg. 1: %zu paths, %zu path-DP positions, %zu list-trial ranks\n"
+              "reference operation %.3f ms: scheduling = %.3f reference units\n"
+              "Alg. 1: %zu paths, %zu path-DP positions, %zu walks, %zu list-state ranks\n"
               "Alg. 2: %d candidates, %zu stage timings, %zu stages searched\n\n",
               best_ms, baseline_prerefactor_ms, baseline_prerefactor_ms / best_ms, latency_ms,
-              alg1.paths, alg1.positions_visited, alg1.ranks_walked, alg2.candidates_tried,
-              alg2.stages_retimed, alg2.stages_searched);
+              reference.ms, best_ms / reference.ms, alg1.paths, alg1.positions_visited,
+              alg1.walks, alg1.ranks_walked, alg2.candidates_tried, alg2.stages_retimed,
+              alg2.stages_searched);
   return j;
 }
 
@@ -186,6 +242,9 @@ int main(int argc, char** argv) {
       .add_flag("assert-max-ms", "0",
                 "exit 1 when the 512-op HIOS-LP scheduling wall-clock exceeds this "
                 "bound in ms (0 = no check)")
+      .add_flag("assert-max-ratio", "0",
+                "exit 1 when the 512-op HIOS-LP scheduling wall-clock exceeds this many "
+                "reference operations (0 = no check)")
       .add_flag("golden-write", "", "write the virtual-time golden baseline to this path")
       .add_flag("golden-check", "", "bit-compare the virtual-time results against this golden");
   if (!args.parse(argc, argv)) return 0;
@@ -220,7 +279,7 @@ int main(int argc, char** argv) {
           "fig14b_nasnet", out);
   }
 
-  out["sched_wallclock_512x4"] = measure_sched_wallclock(smoke ? 3 : 5);
+  out["sched_wallclock_512x4"] = measure_sched_wallclock(7);
 
   if (!smoke) {
     bench::print_expectation(
@@ -264,6 +323,18 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("wall-clock check passed: %.2f ms <= %.2f ms\n", measured, bound);
+  }
+  const double max_ratio = args.get_double("assert-max-ratio");
+  if (max_ratio > 0.0) {
+    const double ratio = out.at("sched_wallclock_512x4").at("ratio_to_reference").as_number();
+    if (ratio > max_ratio) {
+      std::fprintf(stderr,
+                   "FAIL: HIOS-LP scheduling wall-clock is %.3f reference operations, "
+                   "above the bound %.3f\n",
+                   ratio, max_ratio);
+      return 1;
+    }
+    std::printf("reference-unit check passed: %.3f <= %.3f\n", ratio, max_ratio);
   }
   return 0;
 }

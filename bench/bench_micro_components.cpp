@@ -109,6 +109,29 @@ void BM_ListTrial(benchmark::State& state) {
 }
 BENCHMARK(BM_ListTrial)->Unit(benchmark::kMillisecond);
 
+// Alg. 1's placement on a 1024-op DAG with state.range(0) GPUs: every path
+// of the DAG placed on a fresh ListScheduleState, one place_path walk each
+// (items = paths).
+void BM_Alg1Place(benchmark::State& state) {
+  const int gpus = static_cast<int>(state.range(0));
+  const graph::Graph g = test_graph(1024);
+  const graph::CompiledGraph cg(g);
+  std::vector<std::vector<graph::NodeId>> paths;
+  graph::ValidPathFinder finder(g, cg.topo_order(), DynBitset(g.num_nodes()));
+  while (auto path = finder.next()) paths.push_back(std::move(path->nodes));
+
+  const cost::TableCostModel cost;
+  const cost::StageTimeCache cached(cost);
+  std::size_t placed = 0;
+  for (auto _ : state) {
+    sched::ListScheduleState list(cg, gpus, cached);
+    for (const auto& path : paths) benchmark::DoNotOptimize(list.place_path(path).latency);
+    placed += paths.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(placed));
+}
+BENCHMARK(BM_Alg1Place)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
 void BM_StageTimeEval(benchmark::State& state) {
   const graph::Graph g = test_graph(64);
   const cost::TableCostModel cost;

@@ -56,7 +56,7 @@ RetryPolicy retry_from_json(const Json& j) {
               "max_backoff_ms"});
   RetryPolicy r;
   r.max_attempts = static_cast<int>(j.at("max_attempts").as_int_in(
-      1, std::numeric_limits<int>::max(), "fault plan: retry.max_attempts"));
+      1, RetryPolicy::kMaxAttempts, "fault plan: retry.max_attempts"));
   r.initial_backoff_ms = j.at("initial_backoff_ms").as_number();
   r.backoff_multiplier = j.at("backoff_multiplier").as_number();
   r.max_backoff_ms = j.at("max_backoff_ms").as_number();
@@ -112,7 +112,9 @@ TransferResolution FaultPlan::resolve_transfer(int src_gpu, int dst_gpu, double 
     res.attempts.push_back(TransferAttempt{depart_ms, true, 0.0});
     return res;
   }
-  HIOS_CHECK(retry.max_attempts >= 1, "retry policy needs at least one attempt");
+  HIOS_CHECK(retry.max_attempts >= 1 && retry.max_attempts <= RetryPolicy::kMaxAttempts,
+             "retry policy needs 1.." << RetryPolicy::kMaxAttempts << " attempts, got "
+                                      << retry.max_attempts);
   double t = depart_ms;
   double backoff = retry.initial_backoff_ms;
   for (int attempt = 0; attempt < retry.max_attempts; ++attempt) {

@@ -60,7 +60,11 @@ struct LinkFault {
 
 /// Capped exponential backoff budget for transient transfer faults.
 struct RetryPolicy {
-  int max_attempts = 4;            ///< total attempts (first try included)
+  /// Largest max_attempts a policy may ask for: resolve_transfer records
+  /// every attempt, so this bounds one transfer's record.
+  static constexpr int kMaxAttempts = 1000;
+
+  int max_attempts = 4;            ///< total attempts (first try included), <= kMaxAttempts
   double initial_backoff_ms = 0.25;
   double backoff_multiplier = 2.0;
   double max_backoff_ms = 4.0;

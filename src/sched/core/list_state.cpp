@@ -1,18 +1,21 @@
 #include "sched/core/list_state.h"
 
 #include <algorithm>
+#include <array>
 
 namespace hios::sched {
 
 ListScheduleState::ListScheduleState(const graph::CompiledGraph& cg, int num_gpus,
                                      const cost::CostModel& cost)
-    : cg_(cg), cost_(cost), num_gpus_(num_gpus), n_(cg.num_nodes()) {
-  HIOS_CHECK(num_gpus_ > 0, "need at least one GPU");
+    : cg_(cg), cost_(cost), n_(cg.num_nodes()) {
+  HIOS_CHECK(num_gpus > 0, "need at least one GPU");
   const graph::Graph& g = cg_.graph();
   const auto& order = cg_.priority_order();
+  m_ = static_cast<std::size_t>(num_gpus);
   mapping_.assign(n_, -1);
   gpu_.assign(n_, -1);
   mapped_ = DynBitset(n_);
+  on_gpu_.assign(m_, DynBitset(n_));
   in_head_.reserve(n_ + 1);
   in_.reserve(cg_.num_edges());
   for (std::size_t r = 0; r < n_; ++r) {
@@ -20,75 +23,176 @@ ListScheduleState::ListScheduleState(const graph::CompiledGraph& cg, int num_gpu
     for (graph::EdgeId e : cg_.in_edges(order[r])) in_.push_back({rank(g.edge(e).src), e});
   }
   in_head_.push_back(in_.size());
-  start_.assign(n_, -1.0);
-  finish_.assign(n_, -1.0);
-  tails_.assign(n_ * static_cast<std::size_t>(num_gpus_), 0.0);
-  lat_after_.assign(n_, 0.0);
-  cur_.assign(static_cast<std::size_t>(num_gpus_), 0.0);
+  start_.assign(n_ * m_, -1.0);
+  finish_.assign(n_ * m_, -1.0);
+  lane_buf_.assign(m_ * m_ + 2 * m_, 0.0);
   dirty_from_ = n_;  // empty mapping: latency 0, nothing to recompute
 }
 
 void ListScheduleState::set_gpu(graph::NodeId v, int gpu) {
   HIOS_CHECK(v >= 0 && static_cast<std::size_t>(v) < n_, "set_gpu: bad node " << v);
-  HIOS_CHECK(gpu < num_gpus_, "set_gpu: mapping[" << v << "] = " << gpu << " out of range");
+  HIOS_CHECK(gpu < static_cast<int>(m_),
+             "set_gpu: mapping[" << v << "] = " << gpu << " out of range");
   if (mapping_[static_cast<std::size_t>(v)] == gpu) return;
   const std::size_t r = rank(v);
+  if (gpu_[r] >= 0) on_gpu_[static_cast<std::size_t>(gpu_[r])].set(r, false);
   mapping_[static_cast<std::size_t>(v)] = gpu;
   gpu_[r] = gpu;
   mapped_.set(r, gpu >= 0);
-  if (gpu < 0) start_[r] = finish_[r] = -1.0;
+  if (gpu >= 0) on_gpu_[static_cast<std::size_t>(gpu)].set(r);
+  if (gpu < 0) start_[r * m_] = finish_[r * m_] = -1.0;
   dirty_from_ = std::min(dirty_from_, r);
 }
 
 double ListScheduleState::latency() {
-  if (dirty_from_ < n_) recompute();
+  if (dirty_from_ < n_) {
+    walk<1>(dirty_from_);
+    latency_ = lane_latency()[0];
+    dirty_from_ = n_;
+  }
   return latency_;
+}
+
+ListScheduleState::Placement ListScheduleState::place_path(
+    std::span<const graph::NodeId> path) {
+  for (graph::NodeId v : path)
+    HIOS_CHECK(v >= 0 && static_cast<std::size_t>(v) < n_, "place_path: bad node " << v);
+  if (m_ == 1 || path.empty()) {
+    for (graph::NodeId v : path) set_gpu(v, 0);
+    return {0, latency()};
+  }
+  std::size_t from = dirty_from_;
+  for (graph::NodeId v : path) {
+    const std::size_t r = rank(v);
+    if (gpu_[r] >= 0) on_gpu_[static_cast<std::size_t>(gpu_[r])].set(r, false);
+    gpu_[r] = kOnPath;
+    mapped_.set(r);
+    from = std::min(from, r);
+  }
+  switch (m_) {
+    case 2: walk<2>(from); break;
+    case 3: walk<3>(from); break;
+    case 4: walk<4>(from); break;
+    case 5: walk<5>(from); break;
+    case 6: walk<6>(from); break;
+    case 7: walk<7>(from); break;
+    case 8: walk<8>(from); break;
+    default: walk<0>(from); break;
+  }
+  const double* lat = lane_latency();
+  std::size_t best = 0;
+  for (std::size_t k = 1; k < m_; ++k)
+    if (lat[k] < lat[best]) best = k;
+  latency_ = lat[best];
+  dirty_from_ = n_;
+  // Commit: the winning lane's times become lane 0's, and the path moves
+  // onto its GPU. Lane 0 needs no copy.
+  if (best != 0) {
+    mapped_.for_each_from(from, [&](std::size_t r) {
+      start_[r * m_] = start_[r * m_ + best];
+      finish_[r * m_] = finish_[r * m_ + best];
+    });
+  }
+  const auto gpu = static_cast<int>(best);
+  for (graph::NodeId v : path) {
+    const std::size_t r = rank(v);
+    mapping_[static_cast<std::size_t>(v)] = gpu;
+    gpu_[r] = gpu;
+    on_gpu_[best].set(r);
+  }
+  return {gpu, latency_};
 }
 
 Schedule ListScheduleState::schedule() const {
   const auto& order = cg_.priority_order();
-  Schedule s(num_gpus_);
+  Schedule s(static_cast<int>(m_));
   mapped_.for_each([&](std::size_t r) { s.push_op(gpu_[r], order[r]); });
   return s;
 }
 
-void ListScheduleState::recompute() {
+template <int kLanes>
+void ListScheduleState::walk(std::size_t from) {
+  const std::size_t L = kLanes > 0 ? static_cast<std::size_t>(kLanes) : m_;
   const graph::Graph& g = cg_.graph();
   const auto& order = cg_.priority_order();
-  const auto m = static_cast<std::size_t>(num_gpus_);
+  const std::size_t m = m_;
+  const std::size_t n = n_;
+  // Lane state: per-GPU tails GPU-major (GPU q of lane k at q * L + k), the
+  // running latency and the start time being built, one per lane. Locals
+  // when the lane count is fixed, so stores to the time arrays cannot
+  // alias them; one lane keeps its m tails in lane_buf_.
+  std::array<double, (kLanes > 1 ? kLanes * kLanes : 1)> cur_fixed{};
+  std::array<double, (kLanes > 0 ? kLanes : 1)> lat_fixed{}, t_fixed{};
+  double* const lane_lat = lane_buf_.data() + m * m;
+  double* const cur = kLanes > 1 ? cur_fixed.data() : lane_buf_.data();
+  double* const lat = kLanes > 0 ? lat_fixed.data() : lane_lat;
+  double* const t = kLanes > 0 ? t_fixed.data() : lane_lat + L;
+  double* const start = start_.data();
+  double* const fin = finish_.data();
 
-  // Prefix state: the checkpoint of the last mapped rank before dirty_from_
-  // (all-zero tails and latency when there is none).
-  const std::size_t prev = mapped_.find_prev(dirty_from_);
-  double lat = 0.0;
-  if (prev < n_) {
-    std::copy_n(tails_.begin() + static_cast<std::ptrdiff_t>(prev * m), m, cur_.begin());
-    lat = lat_after_[prev];
-  } else {
-    std::fill(cur_.begin(), cur_.end(), 0.0);
+  // Prefix state at `from`, the same in every lane: GPU q's tail is the
+  // finish of its last mapped rank before `from` (0 when there is none),
+  // and the running latency is the largest tail. Finishes on one GPU never
+  // decrease (each starts at or after its GPU's tail, and t(v) >= 0), so
+  // that is exactly the running maximum the pass holds at `from`.
+  double prefix_lat = 0.0;
+  for (std::size_t q = 0; q < m; ++q) {
+    const std::size_t p = on_gpu_[q].find_prev(from);
+    const double tail = p < n ? fin[p * m] : 0.0;
+    std::fill_n(cur + q * L, L, tail);
+    prefix_lat = std::max(prefix_lat, tail);
   }
+  std::fill_n(lat, L, prefix_lat);
 
-  mapped_.for_each_from(dirty_from_, [&](std::size_t r) {
-    ++ranks_walked_;
-    const int gpu = gpu_[r];
-    double t_start = cur_[static_cast<std::size_t>(gpu)];
-    for (std::size_t k = in_head_[r]; k < in_head_[r + 1]; ++k) {
-      const InEdge& in = in_[k];
-      const int pred_gpu = gpu_[in.src_rank];
-      if (pred_gpu < 0) continue;
-      const double arrival = finish_[in.src_rank] + cost_.transfer_time(g, in.edge, pred_gpu, gpu);
-      t_start = std::max(t_start, arrival);
+  ++walks_;
+  // The mapped ranks from `from` on, word by word: the body is too large
+  // for for_each_from's callback to be inlined.
+  for (std::size_t w = from >> 6; w < mapped_.num_words(); ++w) {
+    uint64_t bits = mapped_.word(w);
+    if (w == from >> 6) bits &= ~uint64_t{0} << (from & 63);
+    for (; bits != 0; bits &= bits - 1) {
+      const std::size_t r = w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+      ++ranks_walked_;
+      const int gpu = gpu_[r];
+      const bool on_path = kLanes != 1 && gpu == kOnPath;
+      // Lane k's GPU for this rank.
+      const auto lane_gpu = [&](std::size_t k) {
+        return on_path ? k : static_cast<std::size_t>(gpu);
+      };
+      for (std::size_t k = 0; k < L; ++k) t[k] = cur[lane_gpu(k) * L + k];
+      for (std::size_t i = in_head_[r]; i < in_head_[r + 1]; ++i) {
+        const InEdge& in = in_[i];
+        const int src_gpu = gpu_[in.src_rank];
+        if (src_gpu == -1) continue;
+        // A producer before `from` was not re-timed: every lane reads its
+        // committed finish in lane 0.
+        const double* const src_fin = fin + in.src_rank * m;
+        const std::size_t lane_mask = in.src_rank >= from ? ~std::size_t{0} : 0;
+        if (on_path || src_gpu == kOnPath) {
+          for (std::size_t k = 0; k < L; ++k) {
+            const int a = src_gpu == kOnPath ? static_cast<int>(k) : src_gpu;
+            const auto b = static_cast<int>(lane_gpu(k));
+            t[k] = std::max(t[k],
+                            src_fin[k & lane_mask] + cost_.transfer_time(g, in.edge, a, b));
+          }
+        } else {
+          const double transfer = cost_.transfer_time(g, in.edge, src_gpu, gpu);
+          for (std::size_t k = 0; k < L; ++k)
+            t[k] = std::max(t[k], src_fin[k & lane_mask] + transfer);
+        }
+      }
+      const double node = on_path ? 0.0 : cost_.node_time(g, order[r], gpu);
+      for (std::size_t k = 0; k < L; ++k) {
+        const double f =
+            t[k] + (on_path ? cost_.node_time(g, order[r], static_cast<int>(k)) : node);
+        start[r * m + k] = t[k];
+        fin[r * m + k] = f;
+        cur[lane_gpu(k) * L + k] = f;
+        lat[k] = std::max(lat[k], f);
+      }
     }
-    const double t_finish = t_start + cost_.node_time(g, order[r], gpu);
-    start_[r] = t_start;
-    finish_[r] = t_finish;
-    cur_[static_cast<std::size_t>(gpu)] = t_finish;
-    lat = std::max(lat, t_finish);
-    lat_after_[r] = lat;
-    std::copy_n(cur_.begin(), m, tails_.begin() + static_cast<std::ptrdiff_t>(r * m));
-  });
-  latency_ = lat;
-  dirty_from_ = n_;
+  }
+  if constexpr (kLanes > 0) std::copy_n(lat, L, lane_lat);
 }
 
 }  // namespace hios::sched

@@ -13,44 +13,23 @@ namespace hios::sched {
 
 LongestPathMapping longest_path_mapping(const graph::CompiledGraph& cg, int num_gpus,
                                         const cost::CostModel& cost) {
-  const std::size_t n = cg.num_nodes();
   // Incremental path extraction and objective: each path only touches its
   // neighbourhood, so the path DP reruns from the earliest touched
-  // topological position and each path-on-GPU trial re-times the mapped
-  // operators from the path's earliest priority rank (Alg. 1 lines 5-16).
-  graph::ValidPathFinder finder(cg.graph(), cg.topo_order(), DynBitset(n));
-  ListScheduleState trial(cg, num_gpus, cost);
+  // topological position, and one walk from the path's earliest priority
+  // rank tries the path on every GPU and commits the one minimising the
+  // latency of the list schedule over all mapped operators (Alg. 1 lines
+  // 5-16; lowest GPU on ties).
+  graph::ValidPathFinder finder(cg.graph(), cg.topo_order(), DynBitset(cg.num_nodes()));
+  ListScheduleState state(cg, num_gpus, cost);
   LongestPathMapping out;
-  std::size_t committed_rank = n;  // first rank of the last committed path
   while (auto path = finder.next()) {
     ++out.paths;
-    std::size_t first_rank = n;
-    for (graph::NodeId v : path->nodes)
-      first_rank = std::min(first_rank, static_cast<std::size_t>(cg.rank(v)));
-    // A walk over every suffix rank starts the first trial at the last
-    // commit's first rank when that is earlier.
-    out.suffix_ranks += (n - std::min(first_rank, committed_rank)) +
-                        static_cast<std::size_t>(num_gpus - 1) * (n - first_rank);
-    committed_rank = first_rank;
-    // Try the path on every GPU; keep the one minimising the latency of the
-    // list schedule over all mapped operators (strict `<`: lowest GPU wins
-    // ties).
-    int best_gpu = 0;
-    double best_latency = 0.0;
-    for (int gpu = 0; gpu < num_gpus; ++gpu) {
-      for (graph::NodeId v : path->nodes) trial.set_gpu(v, gpu);
-      const double latency = trial.latency();
-      if (gpu == 0 || latency < best_latency) {
-        best_latency = latency;
-        best_gpu = gpu;
-      }
-    }
-    for (graph::NodeId v : path->nodes) trial.set_gpu(v, best_gpu);
-    out.latency_ms = best_latency;
+    out.latency_ms = state.place_path(path->nodes).latency;
   }
-  out.schedule = trial.schedule();
+  out.schedule = state.schedule();
   out.positions_visited = finder.positions_visited();
-  out.ranks_walked = trial.ranks_walked();
+  out.walks = state.walks();
+  out.ranks_walked = state.ranks_walked();
   return out;
 }
 

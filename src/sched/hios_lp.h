@@ -4,7 +4,8 @@
 // Iteratively extracts the longest valid path from the unscheduled part of
 // the graph, tries mapping the whole path onto each GPU, scores each try
 // with the priority-order list scheduler over all mapped operators, and
-// commits the best GPU. See graph/longest_path.h for path semantics.
+// commits the best GPU, all GPUs in one ListScheduleState::place_path walk.
+// See graph/longest_path.h for path semantics.
 #pragma once
 
 #include "graph/compiled_graph.h"
@@ -24,12 +25,10 @@ struct LongestPathMapping {
   /// ValidPathFinder::positions_visited(); a from-scratch extraction per
   /// path would walk every unscheduled position.
   std::size_t positions_visited = 0;
-  /// ListScheduleState::ranks_walked() over all trials.
+  /// ListScheduleState::walks(): one per path, none for the commit.
+  std::size_t walks = 0;
+  /// ListScheduleState::ranks_walked() over all walks.
   std::size_t ranks_walked = 0;
-  /// Sum over trials of the dirty suffix length (ranks from the earliest
-  /// re-mapped priority rank to the end): what a trial that walks every
-  /// rank of its suffix visits.
-  std::size_t suffix_ranks = 0;
 };
 
 /// Alg. 1 on a pre-compiled graph: extracts longest valid paths, tries each

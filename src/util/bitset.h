@@ -114,6 +114,12 @@ class DynBitset {
     }
   }
 
+  /// The 64-bit words, bit i of the set at bit i % 64 of word i / 64, for
+  /// a loop that keeps a large body in the caller (for_each_from's callback
+  /// may not be inlined).
+  std::size_t num_words() const { return words_.size(); }
+  uint64_t word(std::size_t w) const { return words_[w]; }
+
   /// Highest set bit below `before`, or size() when there is none.
   std::size_t find_prev(std::size_t before) const {
     const std::size_t b = std::min(before, bits_);

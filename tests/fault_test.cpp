@@ -79,6 +79,23 @@ TEST(FaultPlan, PermanentOutageExhaustsRetryBudget) {
   EXPECT_DOUBLE_EQ(res.arrival_ms, 10.0 + 0.5 + 1.0 + 2.0);  // budget ran out here
 }
 
+TEST(FaultPlan, RetryBudgetIsCapped) {
+  // The largest budget a plan file may ask for loads and is spent in full
+  // on a link that never comes up; a policy built in code past the cap is
+  // refused when it is used.
+  FaultPlan plan = FaultPlan::from_json(Json::parse(
+      R"({"retry": {"max_attempts": 1000, "initial_backoff_ms": 0.0,
+                    "backoff_multiplier": 1.0, "max_backoff_ms": 0.0},
+          "link_faults": [{"gpu_a": 0, "gpu_b": 1, "from_ms": 0.0, "down": true,
+                           "bw_scale": 1.0, "extra_latency_ms": 0.0}]})"));
+  ASSERT_EQ(plan.retry.max_attempts, RetryPolicy::kMaxAttempts);
+  const TransferResolution res = plan.resolve_transfer(0, 1, 0.0, 1.0);
+  EXPECT_FALSE(res.delivered);
+  EXPECT_EQ(res.attempts.size(), 1000u);
+  plan.retry.max_attempts = RetryPolicy::kMaxAttempts + 1;
+  EXPECT_THROW(plan.resolve_transfer(0, 1, 0.0, 1.0), Error);
+}
+
 TEST(FaultPlan, DegradationScalesBandwidthAndAddsLatency) {
   FaultPlan plan;
   plan.link_faults.push_back(
@@ -160,6 +177,11 @@ TEST(FaultPlan, FromJsonRejectsOutOfRangeValues) {
            R"({"link_faults": [{"gpu_a": 1.4, "gpu_b": 0, "from_ms": 0.0,
                                 "down": true, "bw_scale": 1.0, "extra_latency_ms": 0.0}]})",
            R"({"retry": {"max_attempts": 2.4, "initial_backoff_ms": 0.1,
+                         "backoff_multiplier": 2.0, "max_backoff_ms": 1.0}})",
+           // Past the attempt cap: one transfer would record every attempt.
+           R"({"retry": {"max_attempts": 1001, "initial_backoff_ms": 0.1,
+                         "backoff_multiplier": 2.0, "max_backoff_ms": 1.0}})",
+           R"({"retry": {"max_attempts": 2147483647, "initial_backoff_ms": 0.1,
                          "backoff_multiplier": 2.0, "max_backoff_ms": 1.0}})",
        }) {
     EXPECT_THROW(FaultPlan::from_json(Json::parse(doc)), Error) << doc;

@@ -7,6 +7,7 @@
 
 #include "cost/table_model.h"
 #include "graph/algorithms.h"
+#include "graph/longest_path.h"
 #include "models/examples.h"
 #include "models/random_dag.h"
 #include "oracles/oracles.h"
@@ -237,8 +238,11 @@ TEST(HiosLp, Alg1WalksFarFewerPositionsThanFullPasses) {
   // Deterministic stand-ins for Alg. 1's wall clock on the DAG of
   // Parallelize.RetimesFarFewerStagesThanFullPasses. A from-scratch path
   // extraction walks every unscheduled position (0.30 of paths x n here;
-  // the finder ~0.19), and a trial that walks every rank of its dirty
-  // suffix walks suffix_ranks (the mapped ranks alone are ~0.58 of it).
+  // the finder ~0.19). Each path is placed on all GPUs in one walk and
+  // committed without another: per-GPU trials walk m times per path, plus
+  // once more to commit whenever the best GPU was not the last one tried.
+  // A walk re-times only the mapped ranks of its suffix (~0.56 of a walk
+  // over every rank from the path's first).
   models::RandomDagParams p;
   p.num_ops = 1024;
   p.num_deps = 2048;
@@ -251,9 +255,17 @@ TEST(HiosLp, Alg1WalksFarFewerPositionsThanFullPasses) {
   const double full_dp = static_cast<double>(r.paths) * static_cast<double>(g.num_nodes());
   EXPECT_LE(static_cast<double>(r.positions_visited), 0.25 * full_dp)
       << "ratio " << static_cast<double>(r.positions_visited) / full_dp;
-  const auto suffix = static_cast<double>(r.suffix_ranks);
-  EXPECT_LE(static_cast<double>(r.ranks_walked), 0.75 * suffix)
-      << "ratio " << static_cast<double>(r.ranks_walked) / suffix;
+  EXPECT_EQ(r.walks, r.paths);
+  std::size_t suffix = 0;  // ranks from each path's first priority rank to the end
+  graph::ValidPathFinder finder(g, cg.topo_order(), DynBitset(g.num_nodes()));
+  while (auto path = finder.next()) {
+    graph::NodeId first = path->nodes.front();
+    for (graph::NodeId v : path->nodes)
+      if (cg.rank(v) < cg.rank(first)) first = v;
+    suffix += g.num_nodes() - static_cast<std::size_t>(cg.rank(first));
+  }
+  EXPECT_LE(static_cast<double>(r.ranks_walked), 0.75 * static_cast<double>(suffix))
+      << "ratio " << static_cast<double>(r.ranks_walked) / static_cast<double>(suffix);
 }
 
 TEST(HiosLp, Fig14RegressionDagOutcomesAndWorkCeilings) {
@@ -275,7 +287,8 @@ TEST(HiosLp, Fig14RegressionDagOutcomesAndWorkCeilings) {
   EXPECT_EQ(make_scheduler("hios-lp")->schedule(g, kCost, config).latency_ms,
             265.17012949472746);
   EXPECT_LE(alg1.positions_visited, 20872u);
-  EXPECT_LE(alg1.ranks_walked, 146753u);
+  EXPECT_EQ(alg1.walks, alg1.paths);
+  EXPECT_LE(alg1.ranks_walked, 34267u);
   EXPECT_LE(alg2.stages_retimed, 18073u);
   EXPECT_LE(alg2.stages_searched, 475u);
 }

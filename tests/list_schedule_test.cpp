@@ -103,6 +103,13 @@ TEST(ListSchedule, InputValidation) {
   ListScheduleState state(cg, 2, kCost);
   EXPECT_THROW(state.set_gpu(1, 5), Error);  // gpu range
   EXPECT_THROW(state.set_gpu(2, 0), Error);  // node range
+  const std::vector<graph::NodeId> bad_path{0, 2};
+  EXPECT_THROW(state.place_path(bad_path), Error);  // node range, state untouched
+  EXPECT_EQ(state.mapping(), (std::vector<int>{-1, -1}));
+  EXPECT_EQ(state.walks(), 0u);
+  const ListScheduleState::Placement empty = state.place_path({});
+  EXPECT_EQ(empty.gpu, 0);
+  EXPECT_EQ(empty.latency, 0.0);
 }
 
 TEST(ListSchedule, GpuTailRespected) {

@@ -254,6 +254,16 @@ Outcome consume_plan(const Json& doc) {
       }
     }
     (void)fault::degraded_topology(cost::Topology{}, plan, survivors, t);
+    // A transfer over every link: the retry record stays within the budget.
+    for (int a = 0; a < kGpus; ++a) {
+      for (int b = 0; b < kGpus; ++b) {
+        if (a == b) continue;
+        const fault::TransferResolution res = plan.resolve_transfer(a, b, t, 0.5);
+        EXPECT_GE(res.attempts.size(), 1u);
+        EXPECT_LE(res.attempts.size(), static_cast<std::size_t>(plan.retry.max_attempts));
+        EXPECT_EQ(res.delivered, res.attempts.back().ok);
+      }
+    }
   }
   const fault::FaultPlan back = fault::FaultPlan::from_json(plan.to_json());
   EXPECT_EQ(back.fail_stops.size(), plan.fail_stops.size());

@@ -532,6 +532,80 @@ TEST(SchedCore, ListStateMatchesFromScratchPass) {
   }
 }
 
+TEST(SchedCore, PlacePathMatchesSequentialTrials) {
+  // place_path's fused m-lane walk against Alg. 1's sequential protocol on
+  // a second state: the path set on GPUs 0..m-1 with a latency() after each,
+  // then committed to the first lowest. Speed factors and topologies make
+  // the lanes differ in node_time and transfer_time; remaps and unmaps
+  // between paths leave dirty ranks before the next path, and m = 10 runs
+  // the walk with a run-time lane count.
+  std::mt19937_64 rng(0x91ACE);
+  std::size_t paths = 0, moved = 0, remaps = 0, premapped = 0;
+  for (const int m : {1, 2, 3, 4, 5, 8, 10}) {
+    for (int iter = 0; iter < 25; ++iter) {
+      const graph::Graph g = make_dag(rng);
+      const std::size_t n = g.num_nodes();
+      cost::TableCostModel cost;
+      maybe_decorate(cost, m, rng);
+      const graph::CompiledGraph cg(g);
+      ListScheduleState fused(cg, m, cost);
+      ListScheduleState trials(cg, m, cost);
+      const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+
+      graph::ValidPathFinder finder(g, cg.topo_order(), DynBitset(n));
+      while (auto path = finder.next()) {
+        // Sometimes a path node is mapped already; placing the path moves it.
+        if (rng() % 4 == 0) {
+          const graph::NodeId v = path->nodes[rng() % path->nodes.size()];
+          const int gpu = static_cast<int>(rng() % static_cast<uint64_t>(m));
+          fused.set_gpu(v, gpu);
+          trials.set_gpu(v, gpu);
+          ++premapped;
+        }
+        int best_gpu = 0;
+        double best_latency = 0.0;
+        for (int gpu = 0; gpu < m; ++gpu) {
+          for (graph::NodeId v : path->nodes) trials.set_gpu(v, gpu);
+          const double latency = trials.latency();
+          if (gpu == 0 || latency < best_latency) {
+            best_latency = latency;
+            best_gpu = gpu;
+          }
+        }
+        for (graph::NodeId v : path->nodes) trials.set_gpu(v, best_gpu);
+        const std::size_t walks = fused.walks();
+        const ListScheduleState::Placement placed = fused.place_path(path->nodes);
+        ++paths;
+        moved += best_gpu != 0;
+        ASSERT_EQ(fused.walks(), walks + 1);
+        ASSERT_EQ(placed.gpu, best_gpu) << "m " << m << ", dag " << iter;
+        ASSERT_EQ(bits(placed.latency), bits(best_latency));
+        ASSERT_EQ(bits(trials.latency()), bits(best_latency));
+        ASSERT_EQ(fused.mapping(), trials.mapping());
+        for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(n); ++v) {
+          ASSERT_EQ(bits(fused.start(v)), bits(trials.start(v))) << "node " << v;
+          ASSERT_EQ(bits(fused.finish(v)), bits(trials.finish(v))) << "node " << v;
+        }
+        // Move or unmap a placed node on both states; sometimes settle it
+        // with a latency() (a one-lane walk) before the next path.
+        const auto v = static_cast<graph::NodeId>(rng() % n);
+        if (rng() % 3 == 0 && fused.mapping()[static_cast<std::size_t>(v)] >= 0) {
+          const int gpu = static_cast<int>(rng() % static_cast<uint64_t>(m + 1)) - 1;
+          fused.set_gpu(v, gpu);
+          trials.set_gpu(v, gpu);
+          ++remaps;
+          if (rng() % 2 == 0) ASSERT_EQ(bits(fused.latency()), bits(trials.latency()));
+        }
+      }
+      EXPECT_EQ(fused.schedule().to_json(g).dump(), trials.schedule().to_json(g).dump());
+    }
+  }
+  EXPECT_GT(paths, 2500u);
+  EXPECT_GT(moved, 1000u);
+  EXPECT_GT(remaps, 500u);
+  EXPECT_GT(premapped, 500u);
+}
+
 TEST(SchedCore, ListStateMatchesAlg1TrialSequence) {
   // Alg. 1's access pattern: each longest valid path is tried on GPUs
   // 0..m-1 and committed to one of them; unmaps and remaps are interleaved,

@@ -280,6 +280,11 @@ TEST(Bitset, ForEachFromAndFindPrev) {
   DynBitset full(128);
   full.set(127);
   EXPECT_EQ(full.find_prev(128), 127u);
+  // word(w): bit i of the set at bit i % 64 of word i / 64.
+  ASSERT_EQ(b.num_words(), 4u);
+  for (std::size_t i = 0; i < 4 * 64; ++i)
+    EXPECT_EQ((b.word(i / 64) >> (i % 64)) & 1, i < b.size() && b.test(i) ? 1u : 0u) << i;
+  EXPECT_EQ(DynBitset(0).num_words(), 0u);
 }
 
 TEST(Bitset, HashAndEquality) {
