@@ -209,6 +209,19 @@ void BM_ProfileInception(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileInception);
 
+// One warm ScheduleCache::get: the per-request plan lookup of a serving hit.
+// Its cost should not grow with the model (SqueezeNet 38 ops, NASNet 358).
+void BM_CacheWarmGet(benchmark::State& state, ops::Model (*make)()) {
+  const ops::Model model = make();
+  serve::ScheduleCache cache(cost::make_a40_server(4));
+  sched::SchedulerConfig config;
+  config.num_gpus = 4;
+  cache.get(model, "hios-lp", config);  // the cold build stays out of the loop
+  for (auto _ : state) benchmark::DoNotOptimize(cache.get(model, "hios-lp", config));
+}
+BENCHMARK_CAPTURE(BM_CacheWarmGet, squeezenet, +[] { return models::make_squeezenet(); });
+BENCHMARK_CAPTURE(BM_CacheWarmGet, nasnet, +[] { return models::make_nasnet(); });
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -8,7 +8,7 @@
 //      inside the machine, so the virtual-time model must deliver exactly
 //      4x; the gate allows 3.99x for float slack). p50/p95/p99 latency is
 //      reported at every slot count.
-//   2. Schedule cache: a warm cache lookup must cost <= 1% of the cold
+//   2. Schedule cache: a warm cache lookup must cost <= 0.05% of the cold
 //      profile + HIOS-LP scheduling pass it replaces.
 //   3. Degraded mode: on RandWire, the zoo model whose 4-GPU plan is
 //      faster than its 3-GPU survivor plan, with GPU 3 down mid-trace the
@@ -97,8 +97,10 @@ bool cache_cost(bool enforce) {
   bench::print_header("Schedule cache", "cold profile+schedule pass vs warm lookup");
   serve::ScheduleCache cache(cost::make_a40_server(4));
   // NASNet-A (358 ops): the expensive end of the model zoo, where the cold
-  // pass the cache short-circuits actually hurts. A warm lookup is one
-  // structural fingerprint + hash probe regardless of the model.
+  // pass the cache short-circuits actually hurts. A warm lookup is one hash
+  // probe whatever the model's size: the model kept its fingerprint as it
+  // was built. The 0.05% bound trips when a lookup walks the model again
+  // (that read ~0.35% of the cold pass).
   const ops::Model model = models::make_nasnet();
   sched::SchedulerConfig config;
   config.num_gpus = 4;
@@ -117,8 +119,8 @@ bool cache_cost(bool enforce) {
                  TextTable::num(100.0 * warm_ms / cold_ms, 4)});
   bench::print_table(table, "serve_cache");
 
-  if (warm_ms > 0.01 * cold_ms) {
-    std::fprintf(stderr, "FAIL: warm lookup %.6f ms exceeds 1%% of cold pass %.3f ms\n",
+  if (warm_ms > 0.0005 * cold_ms) {
+    std::fprintf(stderr, "FAIL: warm lookup %.6f ms exceeds 0.05%% of cold pass %.3f ms\n",
                  warm_ms, cold_ms);
     return !enforce;
   }

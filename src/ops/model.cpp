@@ -11,6 +11,7 @@ OpId Model::add_input(const std::string& name, TensorShape shape) {
   shapes_.push_back(shape);
   const OpId id = num_ops() - 1;
   input_ids_.push_back(id);
+  mix_op(id);
   return id;
 }
 
@@ -25,7 +26,9 @@ OpId Model::add_op(Op op, std::vector<OpId> inputs) {
   shapes_.push_back(op.infer_output(in_shapes));
   ops_.push_back(std::move(op));
   inputs_.push_back(std::move(inputs));
-  return num_ops() - 1;
+  const OpId id = num_ops() - 1;
+  mix_op(id);
+  return id;
 }
 
 int64_t Model::flops(OpId id) const {
@@ -82,45 +85,56 @@ int Model::num_compute_deps() const {
   return count;
 }
 
-uint64_t Model::fingerprint() const {
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a over a canonical encoding
-  auto mix = [&h](int64_t v) {
-    h ^= static_cast<uint64_t>(v);
-    h *= 1099511628211ULL;
+namespace {
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+uint64_t splitmix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+}  // namespace
+
+void Model::mix_op(OpId id) {
+  auto mix = [this](int64_t v) {
+    fp_ = (fp_ ^ static_cast<uint64_t>(v)) * kFnvPrime;
+    fp_check_ = splitmix64(fp_check_ ^ static_cast<uint64_t>(v));
   };
-  mix(num_ops());
-  for (OpId id = 0; id < num_ops(); ++id) {
-    const Op& op = ops_[static_cast<std::size_t>(id)];
-    mix(static_cast<int64_t>(op.kind()));
-    switch (op.kind()) {
-      case OpKind::kConv2d:
-      case OpKind::kSepConv2d: {
-        const Conv2dAttr& a = op.conv_attr();
-        for (int64_t v : {a.out_channels, a.kh, a.kw, a.sh, a.sw, a.ph, a.pw, a.groups})
-          mix(v);
-        break;
-      }
-      case OpKind::kPool2d: {
-        const Pool2dAttr& a = op.pool_attr();
-        mix(static_cast<int64_t>(a.mode));
-        for (int64_t v : {a.kh, a.kw, a.sh, a.sw, a.ph, a.pw}) mix(v);
-        break;
-      }
-      case OpKind::kLinear:
-        mix(op.linear_attr().out_features);
-        break;
-      default:
-        break;
+  const Op& op = ops_[static_cast<std::size_t>(id)];
+  mix(static_cast<int64_t>(op.kind()));
+  switch (op.kind()) {
+    case OpKind::kConv2d:
+    case OpKind::kSepConv2d: {
+      const Conv2dAttr& a = op.conv_attr();
+      for (int64_t v : {a.out_channels, a.kh, a.kw, a.sh, a.sw, a.ph, a.pw, a.groups}) mix(v);
+      break;
     }
-    const TensorShape& shape = shapes_[static_cast<std::size_t>(id)];
-    mix(shape.n);
-    mix(shape.c);
-    mix(shape.h);
-    mix(shape.w);
-    mix(static_cast<int64_t>(inputs_[static_cast<std::size_t>(id)].size()));
-    for (OpId in : inputs_[static_cast<std::size_t>(id)]) mix(in);
+    case OpKind::kPool2d: {
+      const Pool2dAttr& a = op.pool_attr();
+      mix(static_cast<int64_t>(a.mode));
+      for (int64_t v : {a.kh, a.kw, a.sh, a.sw, a.ph, a.pw}) mix(v);
+      break;
+    }
+    case OpKind::kLinear:
+      mix(op.linear_attr().out_features);
+      break;
+    default:
+      break;
   }
-  return h;
+  const TensorShape& shape = shapes_[static_cast<std::size_t>(id)];
+  for (int64_t v : {shape.n, shape.c, shape.h, shape.w}) mix(v);
+  const std::vector<OpId>& ins = inputs_[static_cast<std::size_t>(id)];
+  mix(static_cast<int64_t>(ins.size()));
+  for (OpId in : ins) mix(in);
+}
+
+uint64_t Model::fingerprint() const {
+  return (fp_ ^ static_cast<uint64_t>(num_ops())) * kFnvPrime;
+}
+
+uint64_t Model::fingerprint_check() const {
+  return splitmix64(fp_check_ ^ static_cast<uint64_t>(num_ops()));
 }
 
 graph::Graph Model::to_graph() const {

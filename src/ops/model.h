@@ -64,22 +64,35 @@ class Model {
   /// Input-op ids in declaration order.
   const std::vector<OpId>& input_ids() const { return input_ids_; }
 
-  /// Structural fingerprint: a stable 64-bit hash over every operator's
-  /// kind, attributes, resolved output shape, and dependency list (the model
-  /// name is excluded — two identically-built models hash equal). Used by
-  /// the serving layer's schedule cache as the model part of its key.
+  /// Structural fingerprint: a stable 64-bit FNV-1a hash over every
+  /// operator's kind, attributes, resolved output shape, and dependency list,
+  /// then the operator count (the model name is excluded — two
+  /// identically-built models hash equal). add_input/add_op mix each new
+  /// operator in as it is added, so this is O(1). Used by the serving
+  /// layer's schedule cache as the model part of its key.
   uint64_t fingerprint() const;
+
+  /// A second, independent 64-bit hash of the same encoding (its own offset
+  /// basis, the splitmix64 finalizer after every value). The schedule cache
+  /// keys on both, so an FNV-1a collision between two structures is a miss
+  /// rather than the other model's plan.
+  uint64_t fingerprint_check() const;
 
  private:
   void check(OpId id) const {
     HIOS_CHECK(id >= 0 && id < num_ops(), "bad op id " << id << " in model " << name_);
   }
+  /// Mixes the canonical encoding of the just-added operator `id` into
+  /// both running hashes.
+  void mix_op(OpId id);
 
   std::string name_;
   std::vector<Op> ops_;
   std::vector<std::vector<OpId>> inputs_;
   std::vector<TensorShape> shapes_;
   std::vector<OpId> input_ids_;
+  uint64_t fp_ = 1469598103934665603ULL;       ///< running FNV-1a state
+  uint64_t fp_check_ = 0x6a09e667f3bcc908ULL;  ///< running second hash
 };
 
 }  // namespace hios::ops

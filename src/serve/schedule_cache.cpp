@@ -33,7 +33,8 @@ CacheLookup ScheduleCache::get(const ops::Model& model, const std::string& algor
   // default TopologyVersion and an explicit all-up mask share one entry.
   if (mask == width_mask) mask = kFullMask;
 
-  const Key key{model.fingerprint(), config, mask, topo.generation, algorithm};
+  const Key key{model.fingerprint(), model.fingerprint_check(), config, mask,
+                topo.generation, algorithm};
 
   std::promise<std::shared_ptr<const CachedPlan>> promise;
   {

@@ -6,9 +6,13 @@
 // algorithm, SchedulerConfig) under a fixed platform *topology*, so the
 // cache keys on exactly that tuple (model structure via
 // ops::Model::fingerprint, every SchedulerConfig field) plus a
-// TopologyVersion, and a warm request costs one hash lookup. Entries are
-// immutable shared_ptrs: a cached plan can be executed concurrently by
-// every stream slot while new models are being profiled.
+// TopologyVersion. A Model keeps its fingerprint as it is built, so a warm
+// request costs one hash probe and no walk over the model. The key also
+// carries ops::Model::fingerprint_check, an independent second hash of the
+// same structure: two models whose fingerprints collide miss instead of
+// sharing a plan. Entries are immutable shared_ptrs: a cached plan can be
+// executed concurrently by every stream slot while new models are being
+// profiled.
 //
 // Topology versioning (DESIGN.md §6f): without it the cache has a latent
 // staleness bug the moment health state exists — a plan scheduled across 4
@@ -95,13 +99,14 @@ class ScheduleCache {
  public:
   explicit ScheduleCache(cost::Platform platform) : platform_(std::move(platform)) {}
 
-  /// The plan for (model.fingerprint(), algorithm, config) on the survivor
-  /// subset of the platform named by `topo.mask` (restricted GPU count and
-  /// interconnect), keyed additionally on `topo.generation`. The default
-  /// TopologyVersion is the full platform; a mask naming every GPU keys as
-  /// that same entry. config.num_gpus names the *full* platform width and
-  /// must be in [1, 32]; the mask picks survivors out of it. Misses build
-  /// outside the lock with single-flight coalescing (see the file comment).
+  /// The plan for (model.fingerprint(), model.fingerprint_check(),
+  /// algorithm, config) on the survivor subset of the platform named by
+  /// `topo.mask` (restricted GPU count and interconnect), keyed
+  /// additionally on `topo.generation`. The default TopologyVersion is the
+  /// full platform; a mask naming every GPU keys as that same entry.
+  /// config.num_gpus names the *full* platform width and must be in
+  /// [1, 32]; the mask picks survivors out of it. Misses build outside the
+  /// lock with single-flight coalescing (see the file comment).
   CacheLookup get(const ops::Model& model, const std::string& algorithm,
                   const sched::SchedulerConfig& config, TopologyVersion topo = {});
 
@@ -116,6 +121,7 @@ class ScheduleCache {
  private:
   struct Key {
     uint64_t model_fp = 0;
+    uint64_t model_check = 0;       ///< second hash: an FNV-1a collision misses
     sched::SchedulerConfig config;  ///< every field: each one can change a plan
     uint32_t topo_mask = kFullMask;
     uint64_t topo_generation = 0;

@@ -3,6 +3,7 @@
 
 #include "graph/algorithms.h"
 #include "ops/model.h"
+#include "oracles/oracles.h"
 
 namespace hios::ops {
 namespace {
@@ -80,6 +81,22 @@ TEST(Model, BadIdThrows) {
   Model m = tiny();
   EXPECT_THROW(m.op(-1), Error);
   EXPECT_THROW(m.output_shape(42), Error);
+}
+
+// Copies carry the running hashes: extending a copy moves only the copy's.
+TEST(Model, ExtendingACopyChangesOnlyTheCopysFingerprint) {
+  const Model original = tiny();
+  const uint64_t fp = original.fingerprint();
+  const uint64_t check = original.fingerprint_check();
+  Model copy = original;
+  EXPECT_EQ(copy.fingerprint(), fp);
+  copy.add_op(Op(OpKind::kActivation, "relu"), {3});
+  EXPECT_NE(copy.fingerprint(), fp);
+  EXPECT_NE(copy.fingerprint_check(), check);
+  EXPECT_EQ(original.fingerprint(), fp);
+  EXPECT_EQ(original.fingerprint_check(), check);
+  EXPECT_EQ(copy.fingerprint(), oracle::model_hashes(copy).fingerprint);
+  EXPECT_EQ(copy.fingerprint_check(), oracle::model_hashes(copy).check);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Tests for the extended model zoo: ResNet-50, SqueezeNet, RandWire —
-// structure, determinism, schedulability, and end-to-end execution.
+// structure, determinism, schedulability, end-to-end execution, and the
+// add-time structural hashes of every zoo model.
 #include <gtest/gtest.h>
 
 #include "cost/analytical_model.h"
 #include "graph/algorithms.h"
+#include "models/inception.h"
+#include "models/nasnet.h"
 #include "models/randwire.h"
 #include "models/resnet.h"
 #include "models/squeezenet.h"
+#include "oracles/oracles.h"
 #include "runtime/engine.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
@@ -149,6 +153,25 @@ TEST(Randwire, OptionValidation) {
   opt = {};
   opt.ws_p = 1.5;
   EXPECT_THROW(make_randwire(opt), Error);
+}
+
+void expect_hashes_match_walk(const ops::Model& m) {
+  const oracle::ModelHashes walk = oracle::model_hashes(m);
+  EXPECT_EQ(m.fingerprint(), walk.fingerprint) << m.name();
+  EXPECT_EQ(m.fingerprint_check(), walk.check) << m.name();
+}
+
+// The hashes kept at add time equal a from-scratch walk of the encoding.
+TEST(ModelFingerprint, AddTimeHashesMatchScratchWalk) {
+  expect_hashes_match_walk(make_nasnet());
+  expect_hashes_match_walk(make_inception_v3());
+  expect_hashes_match_walk(make_resnet50());
+  expect_hashes_match_walk(make_squeezenet());
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    RandwireOptions opt;
+    opt.seed = seed;
+    expect_hashes_match_walk(make_randwire(opt));
+  }
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 //   * list_schedule: the priority-order list scheduler of Alg. 1, one full
 //     pass per call;
 //   * simulate_ops / simulate_pipeline: the simulators with their own stage
-//     flattening and Kahn passes.
+//     flattening and Kahn passes;
+//   * model_hashes: ops::Model's two structural hashes, walked from scratch
+//     over every operator (the model keeps them incrementally at add time).
 // None of this is linked into src/; it exists for tests only.
 #pragma once
 
@@ -19,6 +21,7 @@
 
 #include "cost/cost_model.h"
 #include "graph/graph.h"
+#include "ops/model.h"
 #include "sched/evaluate.h"
 #include "sched/schedule.h"
 #include "sim/pipeline_sim.h"
@@ -69,5 +72,13 @@ std::optional<sim::PipelineStats> simulate_pipeline(const graph::Graph& g,
                                                     const sched::Schedule& schedule,
                                                     const cost::CostModel& cost,
                                                     int num_requests);
+
+/// ops::Model::fingerprint() and fingerprint_check(), computed by one walk
+/// over every operator's canonical encoding.
+struct ModelHashes {
+  uint64_t fingerprint = 0;
+  uint64_t check = 0;
+};
+ModelHashes model_hashes(const ops::Model& model);
 
 }  // namespace hios::oracle

@@ -2,6 +2,8 @@
 // scale, schedule cache, metrics conservation, and virtual-time admission.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 
 #include "cost/cost_model.h"
 #include "models/examples.h"
@@ -84,6 +86,67 @@ TEST(ScheduleCache, KeyDistinguishesConfigAndStructure) {
   EXPECT_EQ(cache.get(renamed, "hios-lp", two).outcome,
             CacheOutcome::kHit);       // fingerprint ignores the name
   EXPECT_EQ(cache.size(), 3u);
+}
+
+// tiny_model with conv c1 `c1_out` channels wide, then an unused (1, 1, h, w)
+// input placeholder: the last values its fingerprint mixes are h, w, the
+// placeholder's input count (0) and the op count.
+ops::Model padded_model(int64_t c1_out, int64_t h, int64_t w) {
+  using namespace ops;
+  Model m("padded");
+  const OpId in = m.add_input("x", TensorShape{1, 4, 8, 8});
+  const OpId c1 =
+      m.add_op(Op(OpKind::kConv2d, "c1", Conv2dAttr{c1_out, 3, 3, 1, 1, 1, 1, 1}), {in});
+  const OpId c2 = m.add_op(Op(OpKind::kConv2d, "c2", Conv2dAttr{4, 3, 3, 1, 1, 1, 1, 1}), {in});
+  m.add_op(Op(OpKind::kConcat, "cat"), {c1, c2});
+  m.add_input("pad", TensorShape{1, 1, h, w});
+  return m;
+}
+
+// The FNV-1a value the padded placeholder's `w` was xor-ed into, recovered by
+// undoing the last three mixes (op count, input count 0, the w step's
+// multiply). The FNV prime is odd, so it is invertible mod 2^64.
+uint64_t fnv_state_before_w_multiply(const ops::Model& m) {
+  constexpr uint64_t kPrime = 1099511628211ULL;
+  uint64_t inv = kPrime;
+  for (int i = 0; i < 5; ++i) inv *= 2 - kPrime * inv;  // Newton: 3 -> 96 bits
+  uint64_t s = (m.fingerprint() * inv) ^ static_cast<uint64_t>(m.num_ops());
+  s = (s * inv) ^ 0;  // the placeholder's input count
+  return s * inv;
+}
+
+// Two different structures with equal fingerprint(): model A and B differ
+// in c1's width, and B's placeholder width is solved so that FNV-1a's state
+// after the `w` mix equals A's. The key's second hash must turn that into a
+// miss, not A's plan.
+TEST(ScheduleCache, CraftedFingerprintCollisionIsAMiss) {
+  const ops::Model a = padded_model(4, 1, 1);
+  const uint64_t target = fnv_state_before_w_multiply(a);
+  std::optional<ops::Model> b;
+  for (int64_t c1_out = 5; !b && c1_out <= 64; ++c1_out) {
+    for (int64_t h = 1; !b && h <= 64; ++h) {
+      // With w = 1 the state is x ^ 1; w_b = x ^ target lands on A's state.
+      const uint64_t x = fnv_state_before_w_multiply(padded_model(c1_out, h, 1)) ^ 1;
+      const auto w = static_cast<int64_t>(x ^ target);
+      // Positive, and h * w elements of float stay inside int64.
+      if (w > 0 && w <= std::numeric_limits<int64_t>::max() / (4 * h))
+        b = padded_model(c1_out, h, w);
+    }
+  }
+  ASSERT_TRUE(b.has_value()) << "no collision found in the search range";
+  ASSERT_EQ(a.fingerprint(), b->fingerprint());  // the collision is real
+  EXPECT_NE(a.fingerprint_check(), b->fingerprint_check());
+  EXPECT_NE(a.op(1).conv_attr().out_channels, b->op(1).conv_attr().out_channels);
+
+  ScheduleCache cache(cost::make_a40_server(2));
+  sched::SchedulerConfig config;
+  config.num_gpus = 2;
+  const CacheLookup plan_a = cache.get(a, "hios-lp", config);
+  const CacheLookup plan_b = cache.get(*b, "hios-lp", config);
+  EXPECT_EQ(plan_b.outcome, CacheOutcome::kMiss);
+  EXPECT_NE(plan_a.plan.get(), plan_b.plan.get());
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.get(*b, "hios-lp", config).plan.get(), plan_b.plan.get());
 }
 
 // Every SchedulerConfig field is part of the key: "hios-lp" without Alg. 2
