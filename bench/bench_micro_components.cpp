@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/hios.h"
-#include "cost/stage_cache.h"
 #include "graph/compiled_graph.h"
 #include "graph/longest_path.h"
 #include "sched/core/list_state.h"
@@ -92,10 +91,9 @@ void BM_ListTrial(benchmark::State& state) {
   graph::ValidPathFinder finder(g, cg.topo_order(), DynBitset(g.num_nodes()));
   while (auto path = finder.next()) paths.push_back(std::move(path->nodes));
 
-  const cost::StageTimeCache cached(cost);
   std::size_t trials = 0;
   for (auto _ : state) {
-    sched::ListScheduleState trial(cg, kGpus, cached);
+    sched::ListScheduleState trial(cg, kGpus, cost);
     for (const auto& path : paths) {
       for (int gpu = 0; gpu < kGpus; ++gpu) {
         for (graph::NodeId v : path) trial.set_gpu(v, gpu);
@@ -121,10 +119,9 @@ void BM_Alg1Place(benchmark::State& state) {
   while (auto path = finder.next()) paths.push_back(std::move(path->nodes));
 
   const cost::TableCostModel cost;
-  const cost::StageTimeCache cached(cost);
   std::size_t placed = 0;
   for (auto _ : state) {
-    sched::ListScheduleState list(cg, gpus, cached);
+    sched::ListScheduleState list(cg, gpus, cost);
     for (const auto& path : paths) benchmark::DoNotOptimize(list.place_path(path).latency);
     placed += paths.size();
   }
@@ -169,8 +166,7 @@ void BM_MergeCandidate(benchmark::State& state, bool delta) {
   config.num_gpus = 4;
   const auto r = sched::make_scheduler("inter-lp")->schedule(g, cost, config);
   const graph::CompiledGraph cg(g);
-  const cost::StageTimeCache cached(cost);
-  sched::ScheduleState s(cg, cached);
+  sched::ScheduleState s(cg, cost);
   s.load(r.schedule);
   const double latency = *s.evaluate_latency();
   std::vector<std::pair<int, int>> windows;  // (gpu, pos)

@@ -16,8 +16,10 @@
 //      throughput must fall below steady throughput and track the modelled
 //      survivor bound (full-plan latency / survivor-plan latency — the
 //      3-of-4-GPUs capacity model) within contention slack, the recovered
-//      phase must regain >= 0.9x steady throughput, and no request may pay
-//      a cold reschedule (plan-pool misses == 0).
+//      phase must regain >= 0.9x steady throughput, no request may pay
+//      a cold reschedule (plan-pool misses == 0), and the outage must hit
+//      requests that all retry to completion (retried > 0, failed == 0;
+//      with retries off, the victims fail and this trips).
 //   4. run_trace scaling: with hedging on, the serving loop's wall clock
 //      per request at 40k requests must stay within 3x of its cost at 5k
 //      (a per-dispatch cost that grows with trace length fails it).
@@ -319,10 +321,18 @@ bool degraded_recovery(int num_requests, bool enforce, Json& doc) {
                  static_cast<long long>(s.pool_misses));
     ok = false;
   }
+  if (s.retried == 0 || s.failed != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %lld retried, %lld failed; every outage victim must retry onto a "
+                 "survivor plan and complete\n",
+                 static_cast<long long>(s.retried), static_cast<long long>(s.failed));
+    ok = false;
+  }
   if (ok) {
     std::printf("degraded gate passed: ratio %.3f (modelled %.3f), recovered %.3fx, "
-                "0 pool misses\n\n",
-                measured_ratio, expected_ratio, recovered_ratio);
+                "0 pool misses, %lld victims retried to completion\n\n",
+                measured_ratio, expected_ratio, recovered_ratio,
+                static_cast<long long>(s.retried));
   }
   return ok || !enforce;
 }

@@ -21,10 +21,15 @@
 namespace hios::core {
 
 /// Decorator counting the distinct (stage -> time) measurements a
-/// profile-based scheduler would perform against this cost model.
+/// profile-based scheduler would perform against this cost model. The
+/// inner model's topology and speed factors are copied at construction, so
+/// transfer_time / node_time / stage_time_on match the inner model's.
 class CountingCostModel final : public cost::CostModel {
  public:
-  explicit CountingCostModel(const cost::CostModel& inner) : inner_(inner) {}
+  explicit CountingCostModel(const cost::CostModel& inner) : inner_(inner) {
+    set_topology(inner.topology());
+    set_speed_factors(inner.speed_factors());
+  }
 
   double stage_time(const graph::Graph& g,
                     std::span<const graph::NodeId> stage) const override;

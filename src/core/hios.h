@@ -24,6 +24,9 @@
 //   serve/   multi-tenant serving: admission queue, stream slots, schedule
 //            cache, metrics
 //   core/    pipeline + experiment helpers
+//
+// The test oracles (brute-force optimal schedulers, the from-scratch
+// evaluator and simulators) live in tests/oracles/, outside this API.
 #pragma once
 
 #include "core/experiment.h"
@@ -51,7 +54,6 @@
 #include "runtime/engine.h"
 #include "runtime/failover.h"
 #include "sched/bounds.h"
-#include "sched/brute_force.h"
 #include "sched/evaluate.h"
 #include "sched/ios_intra.h"
 #include "sched/parallelize.h"

@@ -1,5 +1,6 @@
 // Cost model over a derived graph whose nodes map back to an original
-// profiled graph (failover residual scheduling).
+// profiled graph (failover residual scheduling, and the per-GPU induced
+// subgraphs of sched::ios_intra_pass).
 //
 // A residual graph re-uses the original nodes' profiled times and demands
 // but has fresh dense node ids, while concrete cost models (analytical /

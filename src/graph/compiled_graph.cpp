@@ -26,12 +26,6 @@ CompiledGraph::CompiledGraph(const Graph& g) : g_(&g), n_(g.num_nodes()) {
     for (EdgeId e : g.out_edges(v)) out_csr_[o++] = e;
   }
 
-  edge_index_.reserve(m * 2);
-  for (EdgeId e = 0; e < static_cast<EdgeId>(m); ++e) {
-    const Edge& edge = g.edge(e);
-    edge_index_.emplace(pack(edge.src, edge.dst), e);
-  }
-
   auto topo = topological_sort(g);
   HIOS_CHECK(topo.has_value(), "CompiledGraph: graph '" << g.name() << "' has a cycle");
   topo_ = std::move(*topo);

@@ -2,12 +2,10 @@
 //
 // Every scheduler used to recompute the same per-graph metadata — a
 // topological sort, the priority indicators of §IV-A, the priority order —
-// over and over, and to answer "is there an edge u -> v?" with a linear
-// scan of u's out-list (Graph::find_edge). CompiledGraph is built once at
-// the top of a schedule() call and packages:
+// over and over. CompiledGraph is built once at the top of a schedule()
+// call and packages:
 //   * CSR (compressed sparse row) in/out adjacency — contiguous edge-id
 //     arrays, cache-friendly for the evaluator inner loops,
-//   * an O(1) expected-time edge index keyed on the (u, v) pair,
 //   * the topological order, priority indicators p(v), the descending
 //     priority order, and each node's rank (position) in it.
 // The view borrows the Graph: the Graph must outlive the CompiledGraph and
@@ -16,7 +14,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -45,16 +42,6 @@ class CompiledGraph {
             out_csr_.data() + out_head_[static_cast<std::size_t>(v) + 1]};
   }
 
-  /// Edge id of u -> v, or -1 when absent. O(1) expected (hash lookup),
-  /// unlike Graph::find_edge's O(out_degree(u)) scan.
-  EdgeId find_edge(NodeId u, NodeId v) const {
-    check_node(u);
-    check_node(v);
-    const auto it = edge_index_.find(pack(u, v));
-    return it == edge_index_.end() ? EdgeId{-1} : it->second;
-  }
-  bool has_edge(NodeId u, NodeId v) const { return find_edge(u, v) >= 0; }
-
   /// Kahn topological order (deterministic: ascending id tie-break).
   const std::vector<NodeId>& topo_order() const { return topo_; }
 
@@ -71,10 +58,6 @@ class CompiledGraph {
   }
 
  private:
-  static uint64_t pack(NodeId u, NodeId v) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
-           static_cast<uint64_t>(static_cast<uint32_t>(v));
-  }
   void check_node(NodeId v) const {
     HIOS_CHECK(v >= 0 && static_cast<std::size_t>(v) < n_, "bad node id " << v);
   }
@@ -83,7 +66,6 @@ class CompiledGraph {
   std::size_t n_;
   std::vector<int32_t> in_head_, out_head_;  // size n + 1
   std::vector<EdgeId> in_csr_, out_csr_;
-  std::unordered_map<uint64_t, EdgeId> edge_index_;
   std::vector<NodeId> topo_, order_;
   std::vector<double> priority_;
   std::vector<int> rank_;

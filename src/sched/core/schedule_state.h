@@ -46,8 +46,9 @@ namespace hios::sched {
 
 class ScheduleState {
  public:
-  /// Binds the state to a compiled graph and cost model (typically a
-  /// cost::StageTimeCache). Both must outlive the state.
+  /// Binds the state to a compiled graph and cost model. Both must outlive
+  /// the state. Each stage's t(S) is asked once when the stage is created
+  /// and hoisted, so the caller's model needs no memo in front of it.
   ScheduleState(const graph::CompiledGraph& cg, const cost::CostModel& cost);
 
   /// Loads `schedule`, replacing any previous state. Nodes absent from the
@@ -61,7 +62,6 @@ class ScheduleState {
   void require_complete() const;
 
   int num_gpus() const { return num_gpus_; }
-  std::size_t num_stages_alive() const { return alive_count_; }
 
   // --- O(1) location --------------------------------------------------
   /// Stable stage id holding `v`, or -1 when v is unscheduled.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "cost/stage_cache.h"
 #include "graph/compiled_graph.h"
 #include "graph/longest_path.h"
 #include "sched/core/list_state.h"
@@ -41,13 +40,12 @@ ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::Cost
   // Compiled once for the whole run: CSR adjacency plus the priority
   // indicators / order on the original graph G (Alg. 1 line 1).
   const graph::CompiledGraph cg(g);
-  const cost::StageTimeCache cached(cost);
-  LongestPathMapping placed = longest_path_mapping(cg, config.num_gpus, cached);
+  LongestPathMapping placed = longest_path_mapping(cg, config.num_gpus, cost);
 
   ScheduleResult result;
   result.algorithm = name();
   if (apply_intra_ && config.apply_intra) {
-    ParallelizeResult intra = parallelize(cg, std::move(placed.schedule), cached,
+    ParallelizeResult intra = parallelize(cg, std::move(placed.schedule), cost,
                                           std::min(config.window, config.max_streams));
     result.schedule = std::move(intra.schedule);
     result.latency_ms = intra.latency_ms;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 
-#include "cost/stage_cache.h"
 #include "graph/compiled_graph.h"
 #include "sched/core/schedule_state.h"
 #include "sched/parallelize.h"
@@ -27,10 +26,8 @@ ScheduleResult HiosMrScheduler::schedule(const graph::Graph& g, const cost::Cost
     return result;
   }
 
-  // Compiled once per run: CSR adjacency + priority metadata; the stage
-  // cache memoizes every t(S) the intra pass re-queries.
+  // Compiled once per run: CSR adjacency + priority metadata.
   const graph::CompiledGraph cg(g);
-  const cost::StageTimeCache cached(cost);
   // Line 1: v_1..v_n in descending priority (a topological order).
   const std::vector<graph::NodeId>& order = cg.priority_order();
 
@@ -112,12 +109,12 @@ ScheduleResult HiosMrScheduler::schedule(const graph::Graph& g, const cost::Cost
   }
 
   if (apply_intra_ && config.apply_intra) {
-    ParallelizeResult intra = parallelize(cg, std::move(schedule), cached,
+    ParallelizeResult intra = parallelize(cg, std::move(schedule), cost,
                                           std::min(config.window, config.max_streams));
     result.schedule = std::move(intra.schedule);
     result.latency_ms = intra.latency_ms;
   } else {
-    ScheduleState state(cg, cached);
+    ScheduleState state(cg, cost);
     state.load(schedule);
     const auto latency = state.evaluate_latency();
     HIOS_ASSERT(latency.has_value(), "MR chain schedule cannot deadlock");

@@ -1,8 +1,9 @@
 #include "sched/ios_intra.h"
 
 #include <chrono>
+#include <memory>
 
-#include "cost/stage_cache.h"
+#include "cost/remap_model.h"
 #include "graph/compiled_graph.h"
 #include "sched/core/schedule_state.h"
 #include "sched/hios_lp.h"
@@ -10,46 +11,13 @@
 
 namespace hios::sched {
 
-namespace {
-
-/// Adapter evaluating a *local induced subgraph*'s stages against the
-/// original cost model by translating node ids back to the global graph.
-class RemappedCost final : public cost::CostModel {
- public:
-  RemappedCost(const cost::CostModel& inner, const graph::Graph& global,
-               std::vector<graph::NodeId> to_global)
-      : inner_(inner), global_(global), to_global_(std::move(to_global)) {}
-
-  double stage_time(const graph::Graph& local,
-                    std::span<const graph::NodeId> stage) const override {
-    (void)local;
-    std::vector<graph::NodeId> global_ids;
-    global_ids.reserve(stage.size());
-    for (graph::NodeId v : stage) global_ids.push_back(to_global_[static_cast<std::size_t>(v)]);
-    return inner_.stage_time(global_, global_ids);
-  }
-
-  double demand(const graph::Graph& local, graph::NodeId v) const override {
-    (void)local;
-    return inner_.demand(global_, to_global_[static_cast<std::size_t>(v)]);
-  }
-
- private:
-  const cost::CostModel& inner_;
-  const graph::Graph& global_;
-  std::vector<graph::NodeId> to_global_;
-};
-
-}  // namespace
-
 ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
                               const cost::CostModel& cost, const SchedulerConfig& config) {
   const auto t0 = std::chrono::steady_clock::now();
-  // One compiled graph, state and stage-time cache across the base
-  // evaluation and every per-GPU candidate re-evaluation below.
+  // One compiled graph and state across the base evaluation and every
+  // per-GPU candidate re-evaluation below.
   const graph::CompiledGraph cg(g);
-  const cost::StageTimeCache cached(cost);
-  ScheduleState state(cg, cached);
+  ScheduleState state(cg, cost);
   state.load(schedule);
   state.require_complete();
   const auto base_latency = state.evaluate_latency();
@@ -80,7 +48,10 @@ ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
     }
 
     // IOS sees only the local dependencies — exactly the paper's critique.
-    const RemappedCost local_cost(cost, g, to_global);
+    // The caller owns `cost` and outlives this call: alias it, own nothing.
+    const cost::RemappedCostModel local_cost(
+        std::shared_ptr<const cost::CostModel>(std::shared_ptr<const cost::CostModel>(), &cost),
+        g, to_global);
     const ScheduleResult local_result = ios.schedule(local, local_cost, config);
 
     Schedule candidate = best;

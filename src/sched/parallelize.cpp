@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cost/stage_cache.h"
 #include "sched/core/schedule_state.h"
 
 namespace hios::sched {
@@ -75,9 +74,7 @@ ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
 
 ParallelizeResult parallelize(const graph::Graph& g, Schedule schedule,
                               const cost::CostModel& cost, int window) {
-  const graph::CompiledGraph cg(g);
-  const cost::StageTimeCache cached(cost);
-  return parallelize(cg, std::move(schedule), cached, window);
+  return parallelize(graph::CompiledGraph(g), std::move(schedule), cost, window);
 }
 
 }  // namespace hios::sched

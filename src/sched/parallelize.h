@@ -52,13 +52,13 @@ struct ParallelizeResult {
 /// Runs Alg. 2 on a pre-compiled graph (the priority order is taken from
 /// `cg`, not recomputed). `schedule` must be valid for cg.graph(); `window`
 /// is the maximum number of ops per merged stage (w >= 2 enables merging;
-/// w < 2 is a no-op that just evaluates the input). `cost` is queried for
-/// repeated stage times — pass a cost::StageTimeCache to memoize them.
+/// w < 2 is a no-op that just evaluates the input). ScheduleState hoists
+/// each stage's t(S), so `cost` is asked about once per stage it creates.
 ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
                               const cost::CostModel& cost, int window);
 
-/// Convenience overload compiling `g` (and wrapping `cost` in a stage-time
-/// cache) internally. Prefer the CompiledGraph overload in scheduler code.
+/// Convenience overload compiling `g` internally. Prefer the CompiledGraph
+/// overload in scheduler code.
 ParallelizeResult parallelize(const graph::Graph& g, Schedule schedule,
                               const cost::CostModel& cost, int window);
 

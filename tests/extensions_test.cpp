@@ -3,6 +3,9 @@
 // and the L (max CUDA streams) cap from §III-A.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "core/hios.h"
 
 namespace hios {
@@ -164,7 +167,31 @@ TEST(Memory, MultiGpuSplitsParamFootprint) {
 
 // ------------------------------------------------------- ios-intra ablation
 
+/// FNV-1a over the bytes of `text`.
+uint64_t fnv1a(const std::string& text) {
+  uint64_t h = 1469598103934665603ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 TEST(IosIntra, ValidAndNeverWorseThanInterOnly) {
+  // Pinned per seed: the pass's latency bits and the FNV-1a hash of its
+  // schedule JSON, so any change to the pass or its cost adapter that moves
+  // a schedule or a rounding shows here.
+  struct Pin {
+    uint64_t latency_bits;
+    uint64_t schedule_hash;
+  };
+  const Pin pins[] = {
+      {0x404645eec6957180ull, 0x9c0079808517a381ull},
+      {0x4045a50026abc2c5ull, 0x0ad24f41621b4c75ull},
+      {0x40460edb50b94ec7ull, 0x1a83e679c14fcc62ull},
+      {0x40453a74ad7c201aull, 0x8f9288ec2a5ec879ull},
+      {0x40478a9779b0a0bcull, 0x481236c3a6e2c355ull},
+  };
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     models::RandomDagParams p;
     p.num_ops = 40;
@@ -182,6 +209,10 @@ TEST(IosIntra, ValidAndNeverWorseThanInterOnly) {
     EXPECT_EQ(ii.schedule.gpu_assignment(g.num_nodes()),
               inter.schedule.gpu_assignment(g.num_nodes()))
         << seed;
+    const Pin& pin = pins[seed - 1];
+    EXPECT_EQ(std::bit_cast<uint64_t>(ii.latency_ms), pin.latency_bits)
+        << seed << ": " << ii.latency_ms;
+    EXPECT_EQ(fnv1a(ii.schedule.to_json(g).dump()), pin.schedule_hash) << seed;
   }
 }
 

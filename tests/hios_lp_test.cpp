@@ -11,7 +11,6 @@
 #include "models/examples.h"
 #include "models/random_dag.h"
 #include "oracles/oracles.h"
-#include "sched/brute_force.h"
 #include "sched/evaluate.h"
 #include "sched/hios_lp.h"
 #include "sched/parallelize.h"
@@ -114,7 +113,7 @@ TEST(HiosLp, NearOptimalOnTinyGraphs) {
     p.seed = seed;
     const graph::Graph g = models::random_dag(p);
     const auto lp = make_scheduler("inter-lp")->schedule(g, kCost, gpus(2));
-    const double oracle = optimal_inter_gpu_latency(g, kCost, 2);
+    const double oracle = oracle::optimal_inter_gpu_latency(g, kCost, 2);
     EXPECT_LE(lp.latency_ms, 1.25 * oracle + 1e-9) << seed;
     EXPECT_GE(lp.latency_ms, oracle - 1e-9) << seed;
   }
@@ -126,7 +125,7 @@ TEST(HiosLp, NearOptimalOnForkJoinTwoGpus) {
   // (3.1 vs 3.2 here). The heuristic must stay within a few percent.
   const graph::Graph g = models::make_fork_join(2, 2.0, 0.1, 0.5);
   const auto lp = make_scheduler("inter-lp")->schedule(g, kCost, gpus(2));
-  const double oracle = optimal_inter_gpu_latency(g, kCost, 2);
+  const double oracle = oracle::optimal_inter_gpu_latency(g, kCost, 2);
   EXPECT_GE(lp.latency_ms, oracle - 1e-9);
   EXPECT_LE(lp.latency_ms, 1.05 * oracle);
 }

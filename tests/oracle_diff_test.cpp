@@ -28,7 +28,6 @@
 #include "models/random_dag.h"
 #include "oracles/oracles.h"
 #include "sched/bounds.h"
-#include "sched/brute_force.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
 #include "sim/event_sim.h"
@@ -75,7 +74,7 @@ void run_single_gpu_oracle_suite(uint64_t num_seeds) {
     const graph::Graph g = small_dag(seed, num_ops);
     // Same stage-size cap as the schedulers' default ios_max_stage_ops.
     const double single_oracle =
-        optimal_single_gpu_latency(g, kCost, config.ios_max_stage_ops);
+        oracle::optimal_single_gpu_latency(g, kCost, config.ios_max_stage_ops);
     const double lower_bound =
         latency_lower_bounds(g, kCost, config.num_gpus).combined_ms;
     for (const std::string& algorithm : scheduler_names()) {
@@ -107,7 +106,7 @@ TEST(OracleDiff, SingletonSchedulersRespectInterGpuOracle) {
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     const int num_ops = 4 + static_cast<int>(seed % 3);  // 4..6 ops
     const graph::Graph g = small_dag(seed * 977, num_ops);
-    const double inter_oracle = optimal_inter_gpu_latency(g, kCost, config.num_gpus);
+    const double inter_oracle = oracle::optimal_inter_gpu_latency(g, kCost, config.num_gpus);
     for (const std::string& algorithm : {std::string("inter-lp"), std::string("inter-mr")}) {
       const double latency = check_and_evaluate(g, algorithm, config);
       EXPECT_GE(latency + 1e-9, inter_oracle) << algorithm << " seed=" << seed;
@@ -125,7 +124,7 @@ TEST(OracleDiff, UnprunedIosMatchesOracleExactly) {
     const int num_ops = 5 + static_cast<int>(seed % 6);
     const graph::Graph g = small_dag(seed * 31, num_ops);
     const auto ios = make_scheduler("ios")->schedule(g, kCost, exact);
-    const double oracle = optimal_single_gpu_latency(g, kCost, 16);
+    const double oracle = oracle::optimal_single_gpu_latency(g, kCost, 16);
     EXPECT_NEAR(ios.latency_ms, oracle, 1e-9) << seed;
   }
 }
@@ -136,8 +135,8 @@ TEST(OracleDiff, UnprunedIosMatchesOracleExactly) {
 TEST(OracleDiff, OraclesAgreeOnSingleGpuSingletonCase) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     const graph::Graph g = small_dag(seed * 131, 5);
-    EXPECT_NEAR(optimal_inter_gpu_latency(g, kCost, 1),
-                optimal_single_gpu_latency(g, kCost, 1), 1e-9)
+    EXPECT_NEAR(oracle::optimal_inter_gpu_latency(g, kCost, 1),
+                oracle::optimal_single_gpu_latency(g, kCost, 1), 1e-9)
         << seed;
   }
 }

@@ -1,10 +1,11 @@
-// Test oracles: from-scratch re-implementations of the §III-A stage timing.
+// Test oracles: from-scratch re-implementations of the §III-A stage timing,
+// and exhaustive searches for the optimal schedule of a tiny graph.
 //
 // Production code times every stage DAG through sched::ScheduleState (and
 // Alg. 1's singleton list schedule through sched::ListScheduleState). The
-// functions here are the independent implementations that code replaced,
-// kept verbatim so the property suites compare the production core against
-// something other than itself:
+// functions here are independent implementations, mostly the code that
+// core replaced, kept verbatim so the property suites compare the
+// production code against something other than itself:
 //   * evaluate_schedule / evaluate_partial_schedule: one Kahn pass over a
 //     freshly flattened, deduplicated stage DAG;
 //   * list_schedule: the priority-order list scheduler of Alg. 1, one full
@@ -12,7 +13,10 @@
 //   * simulate_ops / simulate_pipeline: the simulators with their own stage
 //     flattening and Kahn passes;
 //   * model_hashes: ops::Model's two structural hashes, walked from scratch
-//     over every operator (the model keeps them incrementally at add time).
+//     over every operator (the model keeps them incrementally at add time);
+//   * optimal_single_gpu_latency / optimal_inter_gpu_latency: exhaustive
+//     searches for the best schedule of a tiny graph, the optimality
+//     oracles for IOS and for the inter-GPU halves of HIOS-LP / HIOS-MR.
 // None of this is linked into src/; it exists for tests only.
 #pragma once
 
@@ -80,5 +84,18 @@ struct ModelHashes {
   uint64_t check = 0;
 };
 ModelHashes model_hashes(const ops::Model& model);
+
+/// Exact minimum single-GPU latency over all stage partitions with at most
+/// `max_stage_ops` ops per stage (memoized recursion over down-sets).
+/// Oracle for IOS. Throws when the graph has more than 24 nodes.
+double optimal_single_gpu_latency(const graph::Graph& g, const cost::CostModel& cost,
+                                  int max_stage_ops);
+
+/// Exact minimum latency over all GPU mappings x per-GPU operator orders
+/// with singleton stages (no intra-GPU grouping). Oracle for the inter-GPU
+/// halves of HIOS-LP / HIOS-MR. Throws when the graph has more than 8
+/// nodes (the search is M^n times products of permutations).
+double optimal_inter_gpu_latency(const graph::Graph& g, const cost::CostModel& cost,
+                                 int num_gpus);
 
 }  // namespace hios::oracle

@@ -1,6 +1,8 @@
 // Tests for the core pipeline facade and experiment helpers.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/experiment.h"
 #include "core/pipeline.h"
 #include "cost/table_model.h"
@@ -71,6 +73,37 @@ TEST(Experiment, CountingModelPassesThroughValues) {
   EXPECT_DOUBLE_EQ(counter.stage_time(g, single), inner.stage_time(g, single));
   EXPECT_DOUBLE_EQ(counter.stage_time(g, pair), inner.stage_time(g, pair));
   EXPECT_DOUBLE_EQ(counter.demand(g, 0), inner.demand(g, 0));
+
+  // Topology and per-GPU speed factors pass through too: transfers, stage
+  // times per GPU, and whole schedules match the inner model bit for bit.
+  models::RandomDagParams p;
+  p.num_ops = 60;
+  p.num_layers = 6;
+  p.num_deps = 120;
+  p.seed = 1;
+  const graph::Graph dag = models::random_dag(p);
+  cost::TableCostModel hier;
+  hier.set_topology(cost::Topology::hierarchical(4, 2, cost::LinkClass{4.0, 0.05}));
+  hier.set_speed_factors({1.0, 0.5, 2.0, 1.25});
+  const CountingCostModel through(hier);
+  for (int src = 0; src < 4; ++src) {
+    for (int dst = 0; dst < 4; ++dst) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(through.transfer_time(dag, 0, src, dst)),
+                std::bit_cast<uint64_t>(hier.transfer_time(dag, 0, src, dst)))
+          << src << " -> " << dst;
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(through.stage_time_on(g, pair, src)),
+              std::bit_cast<uint64_t>(hier.stage_time_on(g, pair, src)))
+        << "gpu " << src;
+  }
+  sched::SchedulerConfig config;
+  config.num_gpus = 4;
+  const auto lp = sched::make_scheduler("hios-lp");
+  const sched::ScheduleResult direct = lp->schedule(dag, hier, config);
+  const sched::ScheduleResult counted = lp->schedule(dag, through, config);
+  EXPECT_EQ(counted.schedule.to_json(dag).dump(), direct.schedule.to_json(dag).dump());
+  EXPECT_EQ(std::bit_cast<uint64_t>(counted.latency_ms), std::bit_cast<uint64_t>(direct.latency_ms))
+      << counted.latency_ms << " vs " << direct.latency_ms;
 }
 
 TEST(Experiment, CountingModelDeduplicatesStages) {

@@ -6,7 +6,7 @@
 #include "graph/algorithms.h"
 #include "models/examples.h"
 #include "models/random_dag.h"
-#include "sched/brute_force.h"
+#include "oracles/oracles.h"
 #include "sched/evaluate.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
@@ -81,7 +81,7 @@ TEST(Ios, ExactOnSmallGraphsVsBruteForce) {
     p.seed = seed;
     const graph::Graph g = models::random_dag(p);
     const auto ios = make_scheduler("ios")->schedule(g, kCost, exact_ios_config());
-    const double oracle = optimal_single_gpu_latency(g, kCost, 16);
+    const double oracle = oracle::optimal_single_gpu_latency(g, kCost, 16);
     EXPECT_NEAR(ios.latency_ms, oracle, 1e-9) << seed;
   }
 }
@@ -89,7 +89,7 @@ TEST(Ios, ExactOnSmallGraphsVsBruteForce) {
 TEST(Ios, ExactOnForkJoin) {
   const graph::Graph g = models::make_fork_join(4, 0.4, 0.05, 0.2);
   const auto ios = make_scheduler("ios")->schedule(g, kCost, exact_ios_config());
-  EXPECT_NEAR(ios.latency_ms, optimal_single_gpu_latency(g, kCost, 16), 1e-9);
+  EXPECT_NEAR(ios.latency_ms, oracle::optimal_single_gpu_latency(g, kCost, 16), 1e-9);
 }
 
 TEST(Ios, PrunedNeverBeatsExact) {
@@ -143,8 +143,8 @@ TEST(BruteForce, RejectsOversizedGraphs) {
   p.num_ops = 30;
   p.num_layers = 5;
   const graph::Graph g = models::random_dag(p);
-  EXPECT_THROW(optimal_single_gpu_latency(g, kCost, 4), Error);
-  EXPECT_THROW(optimal_inter_gpu_latency(g, kCost, 2), Error);
+  EXPECT_THROW(oracle::optimal_single_gpu_latency(g, kCost, 4), Error);
+  EXPECT_THROW(oracle::optimal_inter_gpu_latency(g, kCost, 2), Error);
 }
 
 TEST(Factory, KnownAndUnknownNames) {
