@@ -73,40 +73,6 @@ void BM_Alg1Path(benchmark::State& state, bool incremental) {
 BENCHMARK_CAPTURE(BM_Alg1Path, oneshot, false)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_Alg1Path, incremental, true)->Unit(benchmark::kMillisecond);
 
-// Alg. 1's list trials on a 1024-op, 4-GPU DAG: the paths of an inter-lp run,
-// each set on GPUs 0..3 with a latency() after each and committed to the
-// GPU inter-lp chose. One iteration replays the whole run on a fresh
-// ListScheduleState (items = set_gpu + latency trials).
-void BM_ListTrial(benchmark::State& state) {
-  constexpr int kGpus = 4;
-  const graph::Graph g = test_graph(1024);
-  const graph::CompiledGraph cg(g);
-  const cost::TableCostModel cost;
-  sched::SchedulerConfig config;
-  config.num_gpus = kGpus;
-  const std::vector<int> chosen =
-      sched::make_scheduler("inter-lp")->schedule(g, cost, config).schedule.gpu_assignment(
-          g.num_nodes());
-  std::vector<std::vector<graph::NodeId>> paths;
-  graph::ValidPathFinder finder(g, cg.topo_order(), DynBitset(g.num_nodes()));
-  while (auto path = finder.next()) paths.push_back(std::move(path->nodes));
-
-  std::size_t trials = 0;
-  for (auto _ : state) {
-    sched::ListScheduleState trial(cg, kGpus, cost);
-    for (const auto& path : paths) {
-      for (int gpu = 0; gpu < kGpus; ++gpu) {
-        for (graph::NodeId v : path) trial.set_gpu(v, gpu);
-        benchmark::DoNotOptimize(trial.latency());
-        ++trials;
-      }
-      for (graph::NodeId v : path) trial.set_gpu(v, chosen[static_cast<std::size_t>(v)]);
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(trials));
-}
-BENCHMARK(BM_ListTrial)->Unit(benchmark::kMillisecond);
-
 // Alg. 1's placement on a 1024-op DAG with state.range(0) GPUs: every path
 // of the DAG placed on a fresh ListScheduleState, one place_path walk each
 // (items = paths).

@@ -44,7 +44,7 @@ ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::Cost
 
   ScheduleResult result;
   result.algorithm = name();
-  if (apply_intra_ && config.apply_intra) {
+  if (apply_intra_) {
     ParallelizeResult intra = parallelize(cg, std::move(placed.schedule), cost,
                                           std::min(config.window, config.max_streams));
     result.schedule = std::move(intra.schedule);

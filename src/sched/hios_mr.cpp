@@ -108,7 +108,7 @@ ScheduleResult HiosMrScheduler::schedule(const graph::Graph& g, const cost::Cost
     schedule.push_op(final_gpu[static_cast<std::size_t>(i)], order[static_cast<std::size_t>(i)]);
   }
 
-  if (apply_intra_ && config.apply_intra) {
+  if (apply_intra_) {
     ParallelizeResult intra = parallelize(cg, std::move(schedule), cost,
                                           std::min(config.window, config.max_streams));
     result.schedule = std::move(intra.schedule);

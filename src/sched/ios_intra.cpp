@@ -86,9 +86,7 @@ ScheduleResult HiosLpIosIntraScheduler::schedule(const graph::Graph& g,
                                                  const cost::CostModel& cost,
                                                  const SchedulerConfig& config) const {
   const auto t0 = std::chrono::steady_clock::now();
-  SchedulerConfig inter_only = config;
-  inter_only.apply_intra = false;
-  const ScheduleResult inter = HiosLpScheduler(false).schedule(g, cost, inter_only);
+  const ScheduleResult inter = HiosLpScheduler(false).schedule(g, cost, config);
   ScheduleResult result = ios_intra_pass(g, inter.schedule, cost, config);
   result.algorithm = name();
   result.scheduling_ms =

@@ -23,7 +23,6 @@ struct SchedulerConfig {
   int num_gpus = 2;       ///< M (ignored by sequential and ios)
   int window = 2;         ///< w, max ops per merged stage in Alg. 2
   int max_streams = 8;    ///< L, CUDA streams per GPU (§III-A); caps any stage
-  bool apply_intra = true;///< run Alg. 2 after the inter-GPU pass
 
   // IOS pruning (defaults keep 200-op graphs subsecond; raise for exactness)
   int ios_max_stage_ops = 3;  ///< max ops per stage candidate

@@ -1,46 +1,37 @@
-// GPU / link health tracking for degraded-mode serving (DESIGN.md §6f).
+// GPU health tracking for degraded-mode serving (DESIGN.md §6f).
 //
-// PR 1's failover is strictly per-request: every request that trips over a
-// dead GPU re-discovers it, pays a fresh residual reschedule, and the next
-// request does it all again. A serving system must own fault state *once*:
+// runtime::execute_with_failover is strictly per-request: every request
+// that trips over a dead GPU re-discovers it, pays a fresh residual
+// reschedule, and the next request does it all again. A serving system must own fault state *once*:
 // the first failure marks the GPU down for everyone, later requests are
 // planned around it, and a probing loop brings it back when it recovers.
 //
-// HealthTracker is that shared state machine. It consumes structured fault
-// evidence from the engine/failover path — watchdog fires, FaultPlan
-// fail-stop observations, link down-windows, transfer-retry exhaustion —
-// and maintains a per-GPU and per-link state machine:
+// HealthTracker is that shared state machine. It consumes the evidence the
+// server observes — a GPU fail-stopped (an outage victim in run_trace, or a
+// GPU failover saw die on the online path) and the outcome of each probe —
+// and keeps one per-GPU state machine:
 //
-//        (soft strike)        (strikes >= threshold, or hard evidence)
-//   Healthy ----------> Suspect ----------> Down
-//      ^                                     | (probe backoff elapses)
-//      | (probe succeeds)                    v
-//      +------------------------------- Probing
-//                     (probe fails: Down again, backoff doubles)
+//              (fail-stop)
+//   Healthy ---------------> Down
+//      ^                      | (probe backoff elapses)
+//      | (probe succeeds)     v
+//      +----------------- Probing
+//            (probe fails: Down again, backoff doubles)
 //
-// Hard evidence (a fail-stop observation) jumps straight to Down; soft
-// evidence (watchdog fires, retry exhaustion) accumulates strikes through
-// Suspect first. Down and Probing GPUs are excluded from `up_mask()`; a
-// GPU only re-enters the serving set when a probe succeeds.
+// Down and Probing GPUs are excluded from `up_mask()`; a GPU only
+// re-enters the serving set when a probe succeeds.
 //
 // Probe scheduling is *seeded-deterministic*: backoff grows exponentially
 // with a jitter factor drawn from a per-GPU hios::Rng stream, so two runs
 // with the same seed probe at bit-identical virtual times (the determinism
 // contract, DESIGN.md §6e) while distinct GPUs still decorrelate.
 //
-// Two version counters feed the plan-pool invalidation rules (§6f):
-//   * generation()      bumps whenever up_mask() changes (GPU membership);
-//   * topology_epoch()  bumps on link-state transitions only. Plans are
-//     keyed on (mask, epoch): a GPU failure changes the mask, a link
-//     failure changes the epoch — either way a plan cached before the
-//     failure can never be served after it.
+// generation() bumps whenever up_mask() changes (GPU membership); the
+// server prewarms survivor plans each time it moves (§6f).
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -48,16 +39,13 @@
 
 namespace hios::serve {
 
-/// Health of one GPU or link. See the state diagram above.
-enum class HealthState { kHealthy, kSuspect, kDown, kProbing };
+/// Health of one GPU. See the state diagram above.
+enum class HealthState { kHealthy, kDown, kProbing };
 
 const char* health_state_name(HealthState state);
 
 /// Knobs of the health state machine. All times are virtual milliseconds.
 struct HealthOptions {
-  /// Soft-evidence strikes (watchdog, retry exhaustion) before Suspect
-  /// escalates to Down. Hard evidence (fail-stop) ignores this.
-  int suspect_strikes = 2;
   /// Backoff before the first probe of a freshly Down GPU.
   double probe_backoff_ms = 2.0;
   /// Backoff growth per failed probe, capped at probe_max_backoff_ms.
@@ -75,21 +63,14 @@ struct HealthOptions {
 /// One piece of structured fault evidence fed to the tracker.
 struct FaultEvidence {
   enum class Kind {
-    kFailStop,        ///< hard: a fail-stop observation (GPU is gone)
-    kWatchdog,        ///< soft: an engine watchdog fired on this GPU
-    kLinkDown,        ///< hard: a link down-window was observed
-    kRetryExhausted,  ///< soft: a transfer retry budget ran out on a link
-    kProbeSuccess,    ///< probe outcome: the GPU/link answered
-    kProbeFailure,    ///< probe outcome: still dead
+    kFailStop,      ///< the GPU fail-stopped (it is gone)
+    kProbeSuccess,  ///< probe outcome: the GPU answered
+    kProbeFailure,  ///< probe outcome: still dead
   };
   Kind kind = Kind::kFailStop;
-  int gpu = -1;       ///< subject GPU (links: one endpoint)
-  int peer_gpu = -1;  ///< links: the other endpoint; -1 for GPU evidence
-  double at_ms = 0.0; ///< virtual time the evidence was observed
-  std::string detail;
+  int gpu = -1;        ///< subject GPU
+  double at_ms = 0.0;  ///< virtual time the evidence was observed
 };
-
-const char* evidence_kind_name(FaultEvidence::Kind kind);
 
 /// A server-virtual-time window during which one GPU is dead. This is the
 /// serving-level chaos script (the per-request fault::FaultPlan replays in
@@ -101,7 +82,7 @@ struct GpuOutage {
   double to_ms = std::numeric_limits<double>::infinity();  ///< inf = never recovers
 };
 
-/// Shared per-GPU / per-link health state machine. Not internally locked:
+/// Shared per-GPU health state machine. Not internally locked:
 /// the trace path mutates it single-threaded; the online path guards it
 /// with the server's health mutex.
 class HealthTracker {
@@ -122,23 +103,19 @@ class HealthTracker {
   double next_probe_ms(int gpu) const;
 
   HealthState gpu_state(int gpu) const;
-  HealthState link_state(int a, int b) const;
 
   int num_gpus() const { return static_cast<int>(gpus_.size()); }
-  /// Bit g set iff GPU g may serve traffic (Healthy or Suspect).
+  /// Bit g set iff GPU g may serve traffic (Healthy).
   uint32_t up_mask() const { return up_mask_; }
   /// True when every GPU may serve traffic.
   bool all_up() const;
 
   /// Bumps whenever up_mask() changes.
   uint64_t generation() const { return generation_; }
-  /// Bumps on link-state transitions only (plan-pool key component).
-  uint64_t topology_epoch() const { return epoch_; }
 
   /// Every state transition the tracker performed, in observation order.
   struct Transition {
     int gpu = -1;
-    int peer_gpu = -1;  ///< -1: GPU transition; >= 0: link transition
     HealthState from = HealthState::kHealthy;
     HealthState to = HealthState::kHealthy;
     double at_ms = 0.0;
@@ -149,33 +126,27 @@ class HealthTracker {
   std::size_t probes_sent() const { return probes_sent_; }
   std::size_t probes_succeeded() const { return probes_succeeded_; }
 
-  /// Deterministic dump: per-GPU states, mask, generation, epoch,
-  /// transition count (virtual-time quantities only).
+  /// Deterministic dump: per-GPU states, mask, generation, transition and
+  /// probe counts (virtual-time quantities only).
   Json to_json() const;
 
  private:
   struct Node {
     HealthState state = HealthState::kHealthy;
-    int strikes = 0;
     double next_probe_ms = std::numeric_limits<double>::infinity();
     double backoff_ms = 0.0;  ///< current (pre-jitter) probe backoff
   };
 
-  void transition(Node& node, int gpu, int peer, HealthState to, double at_ms,
-                  FaultEvidence::Kind cause);
-  void mark_gpu_down(int gpu, double at_ms, FaultEvidence::Kind cause);
+  void transition(int gpu, HealthState to, double at_ms, FaultEvidence::Kind cause);
   void schedule_probe(int gpu, double at_ms);
   double jittered(double backoff_ms, int gpu);
   void refresh_mask();
-  Node& link_node(int a, int b);
 
   HealthOptions options_;
   std::vector<Node> gpus_;
   std::vector<Rng> probe_rngs_;  ///< per-GPU deterministic jitter streams
-  std::map<std::pair<int, int>, Node> links_;  ///< keyed (min, max)
   uint32_t up_mask_ = 0;
   uint64_t generation_ = 0;
-  uint64_t epoch_ = 0;
   std::vector<Transition> transitions_;
   std::size_t probes_sent_ = 0;
   std::size_t probes_succeeded_ = 0;

@@ -14,11 +14,11 @@
 //     residual reschedule.
 //
 // Invalidation follows the cache-key rules: GPU membership is named by the
-// mask itself, link state by the generation (HealthTracker's
-// topology_epoch). A health transition that removes a GPU therefore does
-// not discard the prewarmed plans — the new current mask *is* one of the
-// prewarmed keys; a link transition bumps the generation, and the pool
-// repopulates from scratch on the next prewarm.
+// mask itself. A health transition that removes a GPU therefore does not
+// discard the prewarmed plans — the new current mask *is* one of the
+// prewarmed keys. The `generation` argument is one more cache-key
+// component; the server always passes 0, and it stays only because the
+// benchmark harness calls plan_for / prewarm with it.
 //
 // Stateless: the pool holds no lock and no counters. Plan builds and their
 // hit / miss / coalesced counts live in the (locking) ScheduleCache, and the
@@ -40,7 +40,7 @@ class PlanPool {
   /// Throws hios::Error unless config.num_gpus is in [1, 32].
   PlanPool(ScheduleCache& cache, std::string algorithm, sched::SchedulerConfig config);
 
-  /// The plan for the survivor set `mask` under link generation
+  /// The plan for the survivor set `mask` under cache-key generation
   /// `generation`; builds cold iff nothing warmed it first.
   std::shared_ptr<const CachedPlan> plan_for(const ops::Model& model, uint32_t mask,
                                              uint64_t generation);

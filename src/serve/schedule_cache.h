@@ -17,13 +17,12 @@
 // Topology versioning (DESIGN.md §6f): without it the cache has a latent
 // staleness bug the moment health state exists — a plan scheduled across 4
 // GPUs before a failure would keep being served after GPU 3 died. The key
-// therefore carries (a) the survivor *mask*, which names exactly which
-// platform GPUs the plan may place work on, and (b) a link-state
-// *generation* (HealthTracker::topology_epoch()), which versions the
-// interconnect: a plan computed before a link went down (or came back) can
-// never be served after. GPU membership is keyed by the mask itself — not
-// the generation — so plans prewarmed for a single-GPU-down mask still hit
-// warm after that GPU actually fails.
+// therefore carries the survivor *mask*, which names exactly which platform
+// GPUs the plan may place work on. GPU membership is keyed by the mask
+// itself, so plans prewarmed for a single-GPU-down mask still hit warm
+// after that GPU actually fails. The key also carries a `generation` that
+// the server always passes as 0; it stays only because the benchmark
+// harness calls PlanPool with an explicit generation argument.
 //
 // Invalidation (DESIGN.md §6e): a cache instance is bound to one Platform
 // at construction; registering a different platform means a different
@@ -62,8 +61,8 @@ namespace hios::serve {
 struct TopologyVersion {
   /// Bit g set iff platform GPU g may carry work. kFullMask = all up.
   uint32_t mask = kFullMask;
-  /// Link-state generation (bumps on link down/up transitions). Plans are
-  /// never shared across generations.
+  /// Extra key component; plans are never shared across generations. The
+  /// server always uses 0; kept for the benchmark harness's PlanPool calls.
   uint64_t generation = 0;
 };
 
@@ -132,7 +131,7 @@ class ScheduleCache {
     std::size_t operator()(const Key& k) const {
       // A new SchedulerConfig field must be mixed in below (equality picks
       // it up through the defaulted operator==); update the size when done.
-      static_assert(sizeof(sched::SchedulerConfig) == 7 * sizeof(int),
+      static_assert(sizeof(sched::SchedulerConfig) == 6 * sizeof(int),
                     "SchedulerConfig changed: hash the new field in KeyHash");
       const sched::SchedulerConfig& c = k.config;
       std::size_t h = k.model_fp;
@@ -140,7 +139,6 @@ class ScheduleCache {
       mix(c.num_gpus);
       mix(c.window);
       mix(c.max_streams);
-      mix(c.apply_intra);
       mix(c.ios_max_stage_ops);
       mix(c.ios_frontier_cap);
       mix(c.ios_beam_width);

@@ -125,9 +125,10 @@ const ops::Model& Server::model(const std::string& name) const {
 }
 
 std::shared_ptr<const CachedPlan> Server::lookup_plan(const std::string& model_name,
-                                                      TopologyVersion topo) {
-  const CacheLookup found = cache_.get(model(model_name), options_.algorithm, config_, topo);
-  if (found.plan->topo_mask == kFullMask && topo.generation == 0) {
+                                                      uint32_t mask) {
+  const CacheLookup found =
+      cache_.get(model(model_name), options_.algorithm, config_, TopologyVersion{mask});
+  if (found.plan->topo_mask == kFullMask) {
     metrics_.on_cache_result(found.outcome);
   } else {
     metrics_.on_pool_result(found.outcome);
@@ -140,7 +141,7 @@ Server::EngineOutcome Server::execute_plan(const ops::Model& model,
   EngineOutcome out;
   try {
     const bool faulted = options_.faults != nullptr && !options_.faults->empty();
-    if (faulted && options_.failover) {
+    if (faulted) {
       runtime::FailoverOptions fo;
       fo.algorithm = options_.algorithm;
       fo.config = config_;
@@ -174,12 +175,9 @@ Server::EngineOutcome Server::execute_plan(const ops::Model& model,
 
 void Server::probe_due(double now_ms) {
   for (int g : health_.take_due_probes(now_ms)) {
-    FaultEvidence ev;
     const bool up = !outage_active(options_.outages, g, now_ms);
-    ev.kind = up ? FaultEvidence::Kind::kProbeSuccess : FaultEvidence::Kind::kProbeFailure;
-    ev.gpu = g;
-    ev.at_ms = now_ms;
-    health_.observe(ev);
+    health_.observe(
+        {up ? FaultEvidence::Kind::kProbeSuccess : FaultEvidence::Kind::kProbeFailure, g, now_ms});
     metrics_.on_probe(up);
   }
 }
@@ -188,12 +186,10 @@ void Server::sync_health(const std::vector<std::string>& models) {
   for (; counted_transitions_ < health_.transitions().size(); ++counted_transitions_) {
     metrics_.on_health_transition();
   }
-  const std::pair<uint64_t, uint64_t> now{health_.generation(), health_.topology_epoch()};
-  if (!options_.prewarm_degraded || now == warmed_) return;
-  warmed_ = now;
+  if (health_.generation() == warmed_) return;
+  warmed_ = health_.generation();
   for (const std::string& name : models) {
-    metrics_.on_pool_prewarm(
-        pool_.prewarm(model(name), health_.up_mask(), health_.topology_epoch()));
+    metrics_.on_pool_prewarm(pool_.prewarm(model(name), health_.up_mask(), 0));
   }
 }
 
@@ -326,11 +322,10 @@ ServeReport Server::run_trace(const Trace& trace) {
     return best;
   };
   // The plan for the current health state: the full-topology plan resolved
-  // above while every GPU and link is up, else a survivor lookup.
+  // above while every GPU is up, else a survivor lookup.
   auto current_plan = [&](Item* item) -> std::shared_ptr<const CachedPlan> {
-    if (health_.all_up() && health_.topology_epoch() == 0) return item->plan;
-    return lookup_plan(item->req->model,
-                       TopologyVersion{health_.up_mask(), health_.topology_epoch()});
+    if (health_.all_up()) return item->plan;
+    return lookup_plan(item->req->model, health_.up_mask());
   };
 
   // Dispatches queued requests whose lane frees up by `horizon`.
@@ -383,12 +378,8 @@ ServeReport Server::run_trace(const Trace& trace) {
         // time reaches it).
         const double detected = std::max(start, o->from_ms);
         lane_free[static_cast<std::size_t>(lane)] = detected;
-        FaultEvidence ev;
-        ev.kind = FaultEvidence::Kind::kFailStop;
-        ev.gpu = o->gpu;
-        ev.at_ms = detected;
-        ev.detail = "outage window";
-        evidence.emplace(detected, ev);
+        evidence.emplace(detected,
+                         FaultEvidence{FaultEvidence::Kind::kFailStop, o->gpu, detected});
 
         const bool attempts_left = e.attempt <= options_.max_retries;
         const double backoff =
@@ -461,8 +452,7 @@ ServeReport Server::run_trace(const Trace& trace) {
     const double arrival = item->req->arrival_ms;
     dispatch_until(arrival);
     advance_health(arrival);
-    if (options_.breaker && !health_.all_up() &&
-        std::isfinite(item->req->deadline_ms)) {
+    if (!health_.all_up() && std::isfinite(item->req->deadline_ms)) {
       // Circuit breaker: when even an immediately-dispatched run on the
       // survivor plan cannot make the deadline, shed at admission instead
       // of letting the request rot in the queue.
@@ -599,12 +589,11 @@ void Server::online_worker() {
       std::shared_ptr<const CachedPlan> plan;
       for (int attempt = 1; attempt <= attempts_allowed; ++attempt) {
         resp.attempts = attempt;
-        TopologyVersion topo;
-        {
+        const uint32_t mask = [this] {
           std::lock_guard<std::mutex> lock(health_mu_);
-          topo = TopologyVersion{health_.up_mask(), health_.topology_epoch()};
-        }
-        plan = lookup_plan(req.model, topo);
+          return health_.up_mask();
+        }();
+        plan = lookup_plan(req.model, mask);
         if (options_.use_engine) {
           out = execute_plan(model(req.model), *plan);
         } else {
@@ -617,12 +606,8 @@ void Server::online_worker() {
         std::lock_guard<std::mutex> lock(health_mu_);
         for (int g : out.recovery.failed_gpus) {
           if (g < 0 || g >= static_cast<int>(plan->gpus.size())) continue;
-          FaultEvidence ev;
-          ev.kind = FaultEvidence::Kind::kFailStop;
-          ev.gpu = plan->gpus[static_cast<std::size_t>(g)];
-          ev.at_ms = req.arrival_ms;
-          ev.detail = "failover-observed fail-stop";
-          health_.observe(ev);
+          health_.observe({FaultEvidence::Kind::kFailStop,
+                           plan->gpus[static_cast<std::size_t>(g)], req.arrival_ms});
         }
         sync_health({req.model});
         break;

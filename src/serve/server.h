@@ -18,15 +18,17 @@
 //     dispatched while k-1 others are in flight runs
 //     stream_contention_scale(k, demand, kappa) times slower.
 //   * Schedule cache + plan pool: (model fingerprint, nGPU, algorithm,
-//     window, topology) -> plan, so repeat requests skip profiling +
+//     window, survivor mask) -> plan, so repeat requests skip profiling +
 //     scheduling entirely — including requests planned around a dead GPU,
-//     whose survivor plans the PlanPool prewarms on health transitions.
+//     whose survivor plans the PlanPool prewarms each time the health
+//     generation moves.
 //   * Health (DESIGN.md §6f): a HealthTracker owns fault state *across*
 //     requests — the first failure marks the GPU down for everyone, later
 //     requests are planned on the survivors, deterministic probes bring
 //     the GPU back. Failed requests retry with exponential backoff onto
 //     the survivor plan (bounded, deadline-aware); slow requests may hedge
-//     a second dispatch on a p99-based trigger.
+//     a second dispatch on a p99-based trigger. Per-request failover, the
+//     circuit breaker and survivor prewarm always run; none is an option.
 //   * Metrics: serve::Metrics counters + tail-latency reservoirs, threaded
 //     through the engine (watchdog fires), failover (recoveries), and the
 //     resilience layer (retried / hedged / hedge_won / breaker_rejected).
@@ -91,10 +93,9 @@ struct ServerOptions {
   bool use_engine = true;
   /// Fault script injected into every request's engine run (per-request
   /// virtual time, so each request sees the same script). nullptr = none.
-  /// Mutually exclusive with `outages`.
+  /// A request the script leaves incomplete is rescheduled on the survivors
+  /// (runtime::execute_with_failover). Mutually exclusive with `outages`.
   const fault::FaultPlan* faults = nullptr;
-  /// Reschedule-on-survivors when a fault leaves a request incomplete.
-  bool failover = true;
   /// Engine wall-clock watchdog per blocking receive (<= 0 disables).
   double watchdog_ms = 60000.0;
 
@@ -102,7 +103,9 @@ struct ServerOptions {
   /// Server-virtual-time GPU outage windows (the chaos script): unlike
   /// `faults`, one request's failure here is everyone's failure — the
   /// HealthTracker marks the GPU down and later requests plan around it.
-  /// Mutually exclusive with `faults`.
+  /// Mutually exclusive with `faults`. Each health transition prewarms the
+  /// survivor plans; while a GPU is down, a circuit breaker sheds at
+  /// admission any request whose deadline no survivor plan can meet.
   std::vector<GpuOutage> outages;
   HealthOptions health;
   /// Re-dispatch attempts after a failed one (0 disables retries).
@@ -115,12 +118,6 @@ struct ServerOptions {
   /// (<= 0 disables hedging; needs >= hedge_min_samples history).
   double hedge_multiplier = 0.0;
   int hedge_min_samples = 16;
-  /// Shed deadline requests at admission when even an unqueued survivor
-  /// plan cannot meet the deadline (degraded topology only).
-  bool breaker = true;
-  /// Prewarm survivor plans (current mask + every single-GPU-down subset)
-  /// on each health transition.
-  bool prewarm_degraded = true;
 
   /// Throws hios::Error naming the offending field on invalid values
   /// (negative counts, out-of-range outages, faults+outages together, ...).
@@ -196,19 +193,19 @@ class Server {
   static ServerOptions validated(ServerOptions options);
   static sched::SchedulerConfig effective_config(const ServerOptions& options);
 
-  /// One cache lookup of `model_name`'s plan on `topo`. A lookup that
-  /// resolves to the full-topology entry records the cache counters; a
-  /// survivor lookup records the pool counters.
+  /// One cache lookup of `model_name`'s plan on the survivor set `mask`.
+  /// A lookup that resolves to the full-topology entry records the cache
+  /// counters; a survivor lookup records the pool counters.
   std::shared_ptr<const CachedPlan> lookup_plan(const std::string& model_name,
-                                                TopologyVersion topo = {});
+                                                uint32_t mask = kFullMask);
   EngineOutcome execute_plan(const ops::Model& model, const CachedPlan& plan);
   void online_worker();
   /// Takes every probe due at `now_ms`; a probe succeeds unless an outage
   /// window covers its GPU at that instant.
   void probe_due(double now_ms);
-  /// Counts the health transitions not counted yet and, when (generation,
-  /// topology epoch) moved since the last prewarm, prewarms the survivor
-  /// plans of `models`.
+  /// Counts the health transitions not counted yet and, when the health
+  /// generation moved since the last prewarm, prewarms the survivor plans
+  /// of `models` (the current mask and each single-GPU-down subset).
   void sync_health(const std::vector<std::string>& models);
   /// Settles a dispatched `resp` from its engine outcome: failed with the
   /// error, or the outputs and recovered bit, dropped past `deadline_ms`.
@@ -222,8 +219,8 @@ class Server {
   PlanPool pool_;
   /// Guards health_, counted_transitions_ and warmed_ on the online path.
   mutable std::mutex health_mu_;
-  std::size_t counted_transitions_ = 0;     ///< health transitions in Metrics
-  std::pair<uint64_t, uint64_t> warmed_{};  ///< (generation, epoch) last prewarmed
+  std::size_t counted_transitions_ = 0;  ///< health transitions in Metrics
+  uint64_t warmed_ = 0;                  ///< health generation last prewarmed
   std::map<std::string, ops::Model> models_;
   mutable std::mutex models_mu_;
 

@@ -1,4 +1,4 @@
-// HealthTracker state machine: transitions, probe determinism, versioning.
+// HealthTracker state machine: transitions, probe determinism, generation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,11 +10,10 @@
 namespace hios::serve {
 namespace {
 
-FaultEvidence ev(FaultEvidence::Kind kind, int gpu, double at_ms, int peer = -1) {
+FaultEvidence ev(FaultEvidence::Kind kind, int gpu, double at_ms) {
   FaultEvidence e;
   e.kind = kind;
   e.gpu = gpu;
-  e.peer_gpu = peer;
   e.at_ms = at_ms;
   return e;
 }
@@ -30,7 +29,6 @@ TEST(HealthTracker, FailStopGoesStraightToDown) {
   EXPECT_EQ(t.up_mask(), 0b1011u);
   EXPECT_FALSE(t.all_up());
   EXPECT_EQ(t.generation(), 1u);
-  EXPECT_EQ(t.topology_epoch(), 0u) << "GPU transitions must not version links";
   ASSERT_EQ(t.transitions().size(), 1u);
   EXPECT_EQ(t.transitions()[0].to, HealthState::kDown);
   EXPECT_EQ(t.transitions()[0].at_ms, 5.0);
@@ -39,25 +37,6 @@ TEST(HealthTracker, FailStopGoesStraightToDown) {
   t.observe(ev(FaultEvidence::Kind::kFailStop, 2, 6.0));
   EXPECT_EQ(t.transitions().size(), 1u);
   EXPECT_EQ(t.generation(), 1u);
-}
-
-TEST(HealthTracker, WatchdogStrikesEscalateThroughSuspect) {
-  HealthOptions opt;
-  opt.suspect_strikes = 2;
-  HealthTracker t(2, opt);
-
-  t.observe(ev(FaultEvidence::Kind::kWatchdog, 1, 1.0));
-  EXPECT_EQ(t.gpu_state(1), HealthState::kSuspect);
-  EXPECT_EQ(t.up_mask(), 0b11u) << "suspect GPUs still take traffic";
-
-  t.observe(ev(FaultEvidence::Kind::kWatchdog, 1, 2.0));
-  EXPECT_EQ(t.gpu_state(1), HealthState::kDown);
-  EXPECT_EQ(t.up_mask(), 0b01u);
-
-  // Soft evidence on a down GPU is ignored (no strike churn).
-  const std::size_t before = t.transitions().size();
-  t.observe(ev(FaultEvidence::Kind::kWatchdog, 1, 3.0));
-  EXPECT_EQ(t.transitions().size(), before);
 }
 
 TEST(HealthTracker, ProbeLifecycleWithExponentialBackoff) {
@@ -141,36 +120,6 @@ TEST(HealthTracker, PerGpuJitterStreamsDecorrelate) {
       << "both GPUs failed at t=0 but must not probe in lockstep";
 }
 
-TEST(HealthTracker, LinkEvidenceVersionsTheTopology) {
-  HealthTracker t(4);
-  EXPECT_EQ(t.link_state(0, 2), HealthState::kHealthy);
-
-  t.observe(ev(FaultEvidence::Kind::kLinkDown, 0, 3.0, /*peer=*/2));
-  EXPECT_EQ(t.link_state(0, 2), HealthState::kDown);
-  EXPECT_EQ(t.link_state(2, 0), HealthState::kDown) << "links are symmetric";
-  EXPECT_EQ(t.topology_epoch(), 1u);
-  EXPECT_EQ(t.up_mask(), 0b1111u) << "a link fault keeps both GPUs serving";
-  EXPECT_EQ(t.generation(), 0u);
-
-  t.observe(ev(FaultEvidence::Kind::kProbeSuccess, 0, 9.0, /*peer=*/2));
-  EXPECT_EQ(t.link_state(0, 2), HealthState::kHealthy);
-  EXPECT_EQ(t.topology_epoch(), 2u) << "recovery is a new link generation too";
-}
-
-TEST(HealthTracker, RetryExhaustionStrikesLinks) {
-  HealthOptions opt;
-  opt.suspect_strikes = 2;
-  HealthTracker t(2, opt);
-
-  t.observe(ev(FaultEvidence::Kind::kRetryExhausted, 0, 1.0, /*peer=*/1));
-  EXPECT_EQ(t.link_state(0, 1), HealthState::kSuspect);
-  EXPECT_EQ(t.topology_epoch(), 0u) << "suspect links are not a topology change";
-
-  t.observe(ev(FaultEvidence::Kind::kRetryExhausted, 1, 2.0, /*peer=*/0));
-  EXPECT_EQ(t.link_state(0, 1), HealthState::kDown);
-  EXPECT_EQ(t.topology_epoch(), 1u);
-}
-
 TEST(HealthTracker, TakeDueProbesOrdersByDueTimeThenGpu) {
   HealthOptions opt;
   opt.probe_jitter = 0.0;
@@ -189,22 +138,16 @@ TEST(HealthTracker, TakeDueProbesOrdersByDueTimeThenGpu) {
 TEST(HealthTracker, ToJsonDumpsStatesAndCounters) {
   HealthTracker t(2);
   t.observe(ev(FaultEvidence::Kind::kFailStop, 1, 1.0));
-  t.observe(ev(FaultEvidence::Kind::kLinkDown, 0, 2.0, /*peer=*/1));
   const Json j = t.to_json();
   EXPECT_EQ(j.at("gpus").as_array().size(), 2u);
   EXPECT_EQ(j.at("gpus").as_array()[1].at("state").as_string(), "down");
-  EXPECT_EQ(j.at("links").as_array().size(), 1u);
   EXPECT_EQ(j.at("up_mask").as_int(), 0b01);
   EXPECT_EQ(j.at("generation").as_int(), 1);
-  EXPECT_EQ(j.at("topology_epoch").as_int(), 1);
+  EXPECT_EQ(j.at("transitions").as_int(), 1);
 }
 
 TEST(HealthTracker, RejectsInvalidOptionsAndRanges) {
   HealthOptions bad;
-  bad.suspect_strikes = 0;
-  EXPECT_THROW(HealthTracker(2, bad), Error);
-
-  bad = HealthOptions{};
   bad.probe_backoff_ms = 0.0;
   EXPECT_THROW(HealthTracker(2, bad), Error);
 
@@ -221,15 +164,9 @@ TEST(HealthTracker, RejectsInvalidOptionsAndRanges) {
 
   HealthTracker t(2);
   EXPECT_THROW(t.observe(ev(FaultEvidence::Kind::kFailStop, 2, 0.0)), Error);
-  EXPECT_THROW(t.observe(ev(FaultEvidence::Kind::kLinkDown, 0, 0.0, /*peer=*/5)), Error);
+  EXPECT_THROW(t.observe(ev(FaultEvidence::Kind::kProbeSuccess, -1, 0.0)), Error);
+  EXPECT_THROW(t.observe(ev(FaultEvidence::Kind::kProbeFailure, 2, 0.0)), Error);
   EXPECT_THROW(t.gpu_state(-1), Error);
-}
-
-TEST(HealthTracker, UnattributedWatchdogIsIgnored) {
-  HealthTracker t(2);
-  t.observe(ev(FaultEvidence::Kind::kWatchdog, -1, 1.0));
-  EXPECT_TRUE(t.all_up());
-  EXPECT_TRUE(t.transitions().empty());
 }
 
 }  // namespace

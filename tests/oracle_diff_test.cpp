@@ -7,7 +7,7 @@
 //     stage-partition optimum at the same stage-size cap;
 //   * singleton-stage multi-GPU schedulers (inter-lp, inter-mr) >= the
 //     exact inter-GPU mapping/ordering optimum.
-// Grouped multi-GPU schedules (hios-lp/hios-mr with apply_intra) can
+// Grouped multi-GPU schedules (hios-lp/hios-mr, which run Alg. 2) can
 // legitimately beat the singleton-stage inter-GPU oracle, so for those only
 // (a)/(b) plus the trivial critical-path lower bound apply. Finally, IOS
 // with pruning disabled must *equal* the single-GPU optimum — the
@@ -102,7 +102,6 @@ TEST(OracleDiff, AllSchedulersRespectSingleGpuOraclePooled) {
 TEST(OracleDiff, SingletonSchedulersRespectInterGpuOracle) {
   SchedulerConfig config;
   config.num_gpus = 2;
-  config.apply_intra = false;  // keep stages singleton, matching the oracle
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     const int num_ops = 4 + static_cast<int>(seed % 3);  // 4..6 ops
     const graph::Graph g = small_dag(seed * 977, num_ops);

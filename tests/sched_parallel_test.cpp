@@ -78,7 +78,6 @@ TEST(SchedParallel, ParallelizeByteIdenticalAcrossThreadCounts) {
     const graph::Graph g = make_dag(seed * 613);
     SchedulerConfig config;
     config.num_gpus = 2 + static_cast<int>(seed % 3);
-    config.apply_intra = false;  // singleton stages: everything mergeable
     const ScheduleResult base = make_scheduler("inter-lp")->schedule(g, kCost, config);
     const int window = 2 + static_cast<int>(seed % 4);  // 2..5 ops
 

@@ -106,12 +106,13 @@ TEST(ServeChaos, KillAndRecoverMidTraceExactlyOnce) {
   EXPECT_EQ(s.failed, 0);
   EXPECT_EQ(s.dropped, 0);
 
-  // The outage actually bit: victims retried, health transitioned down and
-  // (after probing) back up.
+  // The outage actually bit: victims retried, health went down, three
+  // probes failed inside the window and the fourth brought the GPU back up
+  // (Down, then three Probing/Down rounds, then Probing/Healthy).
   EXPECT_GT(s.retried, 0);
-  EXPECT_GE(s.health_transitions, 2);
-  EXPECT_GE(s.probes_sent, 1);
-  EXPECT_GE(s.probes_succeeded, 1) << "the GPU must probe back to healthy";
+  EXPECT_EQ(s.health_transitions, 9);
+  EXPECT_EQ(s.probes_sent, 4);
+  EXPECT_EQ(s.probes_succeeded, 1) << "the GPU must probe back to healthy";
   EXPECT_EQ(run.report.health.at("up_mask").as_int(), 0b11)
       << "trace must end with the GPU recovered";
   EXPECT_EQ(s.failovers, 0) << "outages must not go through per-request failover";

@@ -147,16 +147,22 @@ struct HedgedRun {
   uint64_t response_hash = 0;
 };
 
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+/// FNV-1a over `size` bytes at `data`, continuing from `h`.
+uint64_t fnv1a(uint64_t h, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 /// FNV-1a over each response's (verdict, lane, start_ms, finish_ms) bytes.
 uint64_t hash_responses(const std::vector<Response>& responses) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ull;
-    }
-  };
+  uint64_t h = kFnvOffset;
+  auto mix = [&h](const void* data, std::size_t size) { h = fnv1a(h, data, size); };
   for (const Response& r : responses) {
     const int verdict = static_cast<int>(r.verdict);
     mix(&verdict, sizeof verdict);
@@ -207,6 +213,14 @@ TEST(ServeReplay, HedgedTraceIsByteIdentical) {
   EXPECT_EQ(a.snapshot.hedge_won, 0);
   EXPECT_EQ(a.snapshot.retried, 0);
   EXPECT_EQ(a.response_hash, 13832109692724739846ull);
+  // Pinned: the outage's health life cycle (down, probes, back up) and the
+  // survivor prewarm it triggers, then every metric at once.
+  EXPECT_EQ(a.snapshot.health_transitions, 133);
+  EXPECT_EQ(a.snapshot.probes_sent, 66);
+  EXPECT_EQ(a.snapshot.probes_succeeded, 1);
+  EXPECT_EQ(a.snapshot.pool_prewarm_builds, 14);
+  EXPECT_EQ(fnv1a(kFnvOffset, a.metrics_json.data(), a.metrics_json.size()),
+            9133568918438440708ull);
 }
 
 }  // namespace

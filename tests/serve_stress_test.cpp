@@ -73,7 +73,6 @@ TEST(ServeStress, SoakMixedModelsUnderFaults) {
   opt.slots_per_gpu = 4;
   opt.queue_capacity = 64;
   opt.faults = &plan;
-  opt.failover = true;
   // Generous real-time watchdog: it must never fire, even on loaded CI.
   opt.watchdog_ms = 120000.0;
   Server server(opt);

@@ -149,17 +149,17 @@ TEST(ScheduleCache, CraftedFingerprintCollisionIsAMiss) {
   EXPECT_EQ(cache.get(*b, "hios-lp", config).plan.get(), plan_b.plan.get());
 }
 
-// Every SchedulerConfig field is part of the key: "hios-lp" without Alg. 2
-// must not be served the cached Alg. 2 plan.
+// Every SchedulerConfig field is part of the key, and so is the algorithm:
+// "inter-lp" (HIOS-LP without Alg. 2) must not be served the cached
+// "hios-lp" plan.
 TEST(ScheduleCache, KeyCoversEverySchedulerConfigField) {
   ScheduleCache cache(cost::make_a40_server(1));
   const ops::Model m = tiny_model();
-  sched::SchedulerConfig intra, no_intra;
-  intra.num_gpus = no_intra.num_gpus = 1;
-  no_intra.apply_intra = false;
+  sched::SchedulerConfig intra;
+  intra.num_gpus = 1;
   const CacheLookup merged = cache.get(m, "hios-lp", intra);
   EXPECT_EQ(merged.outcome, CacheOutcome::kMiss);
-  const CacheLookup unmerged = cache.get(m, "hios-lp", no_intra);
+  const CacheLookup unmerged = cache.get(m, "inter-lp", intra);
   EXPECT_EQ(unmerged.outcome, CacheOutcome::kMiss);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_NE(merged.plan->schedule.to_json(merged.plan->profiled.graph).dump(),
