@@ -5,7 +5,8 @@
 //
 // Shows: stream-slot concurrency, deadline drops, the schedule cache, and
 // the metrics JSON the server emits (the same document the deterministic-
-// replay test pins byte-for-byte).
+// replay test pins byte-for-byte). Exits 1 unless the trace dropped at
+// least one request and every request got exactly one verdict.
 #include <cstdio>
 #include <future>
 
@@ -22,10 +23,16 @@ int main() {
   options.queue_capacity = 16;
   options.algorithm = "hios-lp";
   serve::Server server(options);
-  server.register_model("squeezenet", models::make_squeezenet());
+  // Small inputs keep the demo subsecond: the engine runs real tensors
+  // through CPU kernels.
+  {
+    models::SqueezenetOptions opt;
+    opt.image_hw = 64;
+    server.register_model("squeezenet", models::make_squeezenet(opt));
+  }
   {
     models::InceptionV3Options opt;
-    opt.image_hw = 96;        // small input keeps the demo subsecond
+    opt.image_hw = 96;
     opt.channel_scale = 8;
     server.register_model("inception", models::make_inception_v3(opt));
   }
@@ -35,13 +42,15 @@ int main() {
   params.models = {"squeezenet", "inception"};
   params.num_requests = 12;
   params.mean_interarrival_ms = 0.3;   // Poisson-ish arrivals
-  params.deadline_slack_ms = 25.0;     // tight deadlines: some drops likely
+  params.deadline_slack_ms = 1.5;      // tight deadlines: some requests drop
   const serve::Trace trace = serve::Trace::random(params, 2024);
 
   const serve::ServeReport report = server.run_trace(trace);
   std::printf("trace: %zu requests, makespan %.2f ms, throughput %.1f req/s\n",
               report.responses.size(), report.makespan_ms, report.throughput_rps);
+  int dropped = 0;
   for (const serve::Response& r : report.responses) {
+    if (r.verdict == serve::Verdict::kDropped) ++dropped;
     std::printf("  #%-2lld %-10s lane %d k=%d queue %.2f ms latency %.2f ms (x%.2f)\n",
                 static_cast<long long>(r.id), serve::verdict_name(r.verdict), r.lane,
                 r.concurrency, r.queue_ms, r.latency_ms, r.contention_scale);
@@ -63,5 +72,7 @@ int main() {
     std::printf("#%lld=%s ", static_cast<long long>(r.id), serve::verdict_name(r.verdict));
   }
   std::printf("\n\nmetrics JSON:\n%s\n", server.metrics().to_json().dump(true).c_str());
-  return 0;
+  const bool conserved = server.metrics().snapshot().conserved();
+  std::printf("trace drops: %d, metrics conserve: %s\n", dropped, conserved ? "yes" : "NO");
+  return dropped > 0 && conserved ? 0 : 1;
 }

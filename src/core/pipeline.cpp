@@ -9,7 +9,7 @@ PipelineOutput run_pipeline(const ops::Model& model, const PipelineOptions& opti
   out.profiled = cost::profile_model(model, options.platform);
 
   sched::SchedulerConfig config = options.config;
-  if (options.config_gpus_from_platform) config.num_gpus = options.platform.num_gpus;
+  config.num_gpus = options.platform.num_gpus;
 
   const auto scheduler = sched::make_scheduler(options.algorithm);
   out.result = scheduler->schedule(out.profiled.graph, *out.profiled.cost, config);

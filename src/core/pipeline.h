@@ -15,9 +15,8 @@ namespace hios::core {
 
 struct PipelineOptions {
   cost::Platform platform = cost::make_dual_a40_nvlink();
-  sched::SchedulerConfig config;           ///< num_gpus defaults to platform's
+  sched::SchedulerConfig config;           ///< num_gpus is overridden from platform
   std::string algorithm = "hios-lp";
-  bool config_gpus_from_platform = true;   ///< copy platform.num_gpus into config
 };
 
 struct PipelineOutput {

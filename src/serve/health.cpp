@@ -62,11 +62,10 @@ void HealthTracker::refresh_mask() {
   }
 }
 
-void HealthTracker::transition(int gpu, HealthState to, double at_ms,
-                               FaultEvidence::Kind cause) {
+void HealthTracker::transition(int gpu, HealthState to) {
   Node& node = gpus_[static_cast<std::size_t>(gpu)];
   if (node.state == to) return;
-  transitions_.push_back(Transition{gpu, node.state, to, at_ms, cause});
+  ++transitions_;
   node.state = to;
   refresh_mask();
 }
@@ -90,18 +89,18 @@ void HealthTracker::observe(const FaultEvidence& evidence) {
   switch (evidence.kind) {
     case FaultEvidence::Kind::kFailStop:
       if (node.state == HealthState::kDown) return;
-      transition(g, HealthState::kDown, evidence.at_ms, evidence.kind);
+      transition(g, HealthState::kDown);
       node.backoff_ms = options_.probe_backoff_ms;
       schedule_probe(g, evidence.at_ms);
       break;
     case FaultEvidence::Kind::kProbeSuccess:
       ++probes_succeeded_;
-      transition(g, HealthState::kHealthy, evidence.at_ms, evidence.kind);
+      transition(g, HealthState::kHealthy);
       node.backoff_ms = 0.0;
       node.next_probe_ms = kInf;
       break;
     case FaultEvidence::Kind::kProbeFailure:
-      transition(g, HealthState::kDown, evidence.at_ms, evidence.kind);
+      transition(g, HealthState::kDown);
       node.backoff_ms = std::min(node.backoff_ms * options_.probe_backoff_multiplier,
                                  options_.probe_max_backoff_ms);
       if (node.backoff_ms <= 0.0) node.backoff_ms = options_.probe_backoff_ms;
@@ -121,10 +120,10 @@ std::vector<int> HealthTracker::take_due_probes(double now_ms) {
   std::sort(due.begin(), due.end());
   std::vector<int> out;
   out.reserve(due.size());
-  for (const auto& [at, g] : due) {
-    transition(g, HealthState::kProbing, at, FaultEvidence::Kind::kProbeFailure);
+  for (const auto& entry : due) {
+    transition(entry.second, HealthState::kProbing);
     ++probes_sent_;
-    out.push_back(g);
+    out.push_back(entry.second);
   }
   return out;
 }
@@ -165,7 +164,7 @@ Json HealthTracker::to_json() const {
   j["gpus"] = std::move(gpus);
   j["up_mask"] = static_cast<int64_t>(up_mask_);
   j["generation"] = static_cast<int64_t>(generation_);
-  j["transitions"] = static_cast<int64_t>(transitions_.size());
+  j["transitions"] = static_cast<int64_t>(transitions_);
   j["probes_sent"] = static_cast<int64_t>(probes_sent_);
   j["probes_succeeded"] = static_cast<int64_t>(probes_succeeded_);
   return j;

@@ -2,14 +2,15 @@
 //
 // runtime::execute_with_failover is strictly per-request: every request
 // that trips over a dead GPU re-discovers it, pays a fresh residual
-// reschedule, and the next request does it all again. A serving system must own fault state *once*:
-// the first failure marks the GPU down for everyone, later requests are
-// planned around it, and a probing loop brings it back when it recovers.
+// reschedule, and the next request does it all again. A serving system
+// must own fault state *once*: the first failure marks the GPU down for
+// everyone, later requests are planned around it, and a probing loop
+// brings it back when it recovers. The server therefore never runs
+// failover; its faults are GpuOutage windows in server virtual time.
 //
-// HealthTracker is that shared state machine. It consumes the evidence the
-// server observes — a GPU fail-stopped (an outage victim in run_trace, or a
-// GPU failover saw die on the online path) and the outcome of each probe —
-// and keeps one per-GPU state machine:
+// HealthTracker is that shared state machine. It consumes the evidence
+// Server::run_trace observes — a GPU fail-stopped (an outage victim) and
+// the outcome of each probe — and keeps one per-GPU state machine:
 //
 //              (fail-stop)
 //   Healthy ---------------> Down
@@ -82,9 +83,8 @@ struct GpuOutage {
   double to_ms = std::numeric_limits<double>::infinity();  ///< inf = never recovers
 };
 
-/// Shared per-GPU health state machine. Not internally locked:
-/// the trace path mutates it single-threaded; the online path guards it
-/// with the server's health mutex.
+/// Shared per-GPU health state machine. Not internally locked: only the
+/// single-threaded trace path mutates it.
 class HealthTracker {
  public:
   explicit HealthTracker(int num_gpus, HealthOptions options = {});
@@ -113,15 +113,8 @@ class HealthTracker {
   /// Bumps whenever up_mask() changes.
   uint64_t generation() const { return generation_; }
 
-  /// Every state transition the tracker performed, in observation order.
-  struct Transition {
-    int gpu = -1;
-    HealthState from = HealthState::kHealthy;
-    HealthState to = HealthState::kHealthy;
-    double at_ms = 0.0;
-    FaultEvidence::Kind cause = FaultEvidence::Kind::kFailStop;
-  };
-  const std::vector<Transition>& transitions() const { return transitions_; }
+  /// State transitions the tracker performed so far.
+  std::size_t transitions() const { return transitions_; }
 
   std::size_t probes_sent() const { return probes_sent_; }
   std::size_t probes_succeeded() const { return probes_succeeded_; }
@@ -137,7 +130,7 @@ class HealthTracker {
     double backoff_ms = 0.0;  ///< current (pre-jitter) probe backoff
   };
 
-  void transition(int gpu, HealthState to, double at_ms, FaultEvidence::Kind cause);
+  void transition(int gpu, HealthState to);
   void schedule_probe(int gpu, double at_ms);
   double jittered(double backoff_ms, int gpu);
   void refresh_mask();
@@ -147,7 +140,7 @@ class HealthTracker {
   std::vector<Rng> probe_rngs_;  ///< per-GPU deterministic jitter streams
   uint32_t up_mask_ = 0;
   uint64_t generation_ = 0;
-  std::vector<Transition> transitions_;
+  std::size_t transitions_ = 0;
   std::size_t probes_sent_ = 0;
   std::size_t probes_succeeded_ = 0;
 };

@@ -46,23 +46,11 @@ void Metrics::on_pool_prewarm(std::size_t cold_builds) {
   s_.pool_prewarm_builds += static_cast<int64_t>(cold_builds);
 }
 
-void Metrics::on_health_transition() {
+void Metrics::record_health(const HealthTracker& health) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++s_.health_transitions;
-}
-
-void Metrics::on_probe(bool success) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++s_.probes_sent;
-  if (success) ++s_.probes_succeeded;
-}
-
-void Metrics::on_failover(const runtime::RecoveryMetrics& recovery) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!recovery.fault_occurred) return;
-  ++s_.failovers;
-  if (recovery.recovered) ++s_.recovered;
-  s_.reschedule_wall_ms += recovery.reschedule_wall_ms;
+  s_.health_transitions = static_cast<int64_t>(health.transitions());
+  s_.probes_sent = static_cast<int64_t>(health.probes_sent());
+  s_.probes_succeeded = static_cast<int64_t>(health.probes_succeeded());
 }
 
 void Metrics::on_cache_result(CacheOutcome outcome) {
@@ -125,8 +113,6 @@ Json Metrics::to_json() const {
   counters["hedged"] = s.hedged;
   counters["hedge_won"] = s.hedge_won;
   counters["watchdog_fires"] = s.watchdog_fires;
-  counters["failovers"] = s.failovers;
-  counters["recovered"] = s.recovered;
   j["counters"] = std::move(counters);
 
   Json cache = Json::object();

@@ -4,15 +4,15 @@
 // on_finished, giving the conservation invariants the stress suite pins:
 //   submitted = admitted + rejected + breaker_rejected
 //   admitted  = completed + dropped + failed
-// Resilience events (retries, hedges, circuit-breaker sheds, health
-// transitions — DESIGN.md §6f) are counted alongside, with hedge_won
-// <= hedged as an additional invariant.
+// Resilience events (retries, hedges, circuit-breaker sheds — DESIGN.md
+// §6f) are counted alongside, with hedge_won <= hedged as an additional
+// invariant. The health counts (transitions, probes) are the
+// HealthTracker's own, copied by record_health.
 // Latency/queue-wait reservoirs hold *virtual-time* samples only, so a
 // metrics snapshot is a pure function of the request trace and the cost
 // model — identical across reruns and thread interleavings (the
-// deterministic-replay contract, DESIGN.md §6e). Wall-clock quantities
-// (scheduling cost of cold cache fills) are reported separately and
-// excluded from to_json.
+// deterministic-replay contract, DESIGN.md §6e); no wall-clock quantity
+// is recorded.
 //
 // Metrics is the serving layer's only counter source for plan lookups:
 // the server reports each lookup's CacheOutcome once, to the cache counters
@@ -24,7 +24,7 @@
 #include <mutex>
 #include <vector>
 
-#include "runtime/failover.h"
+#include "serve/health.h"
 #include "serve/request.h"
 #include "serve/schedule_cache.h"
 #include "util/json.h"
@@ -53,11 +53,11 @@ class Metrics {
   /// serving path; a hit or a coalesced lookup did not, and counts as a hit.
   void on_pool_result(CacheOutcome outcome);
   void on_pool_prewarm(std::size_t cold_builds);
-  void on_health_transition();
-  void on_probe(bool success);
+  /// Copies the tracker's transition and probe counts (cumulative over the
+  /// server's life, so repeated traces never recount).
+  void record_health(const HealthTracker& health);
 
   // --- execution-path detail ------------------------------------------
-  void on_failover(const runtime::RecoveryMetrics& recovery);
   /// A full-topology plan lookup: every lookup lands in exactly one of
   /// hit / miss / coalesced, pinned by Snapshot::conserved().
   void on_cache_result(CacheOutcome outcome);
@@ -76,8 +76,6 @@ class Metrics {
     int64_t health_transitions = 0;
     int64_t probes_sent = 0, probes_succeeded = 0;
     int64_t watchdog_fires = 0;
-    int64_t failovers = 0, recovered = 0;
-    double reschedule_wall_ms = 0.0;  ///< total failover re-scheduling wall clock
     int64_t cache_lookups = 0;
     int64_t cache_hits = 0, cache_misses = 0, cache_coalesced = 0;
     std::size_t queue_capacity = 0, queue_high_watermark = 0;
@@ -97,9 +95,7 @@ class Metrics {
 
   Snapshot snapshot() const;
 
-  /// Deterministic JSON dump (virtual-time quantities only — no wall clock
-  /// except the explicitly-labelled failover re-scheduling total, which is
-  /// also excluded here for replay stability).
+  /// Deterministic JSON dump (virtual-time quantities only).
   Json to_json() const;
 
  private:

@@ -10,7 +10,7 @@
 //   * prewarm(model, mask, generation): build the plan for the current
 //     survivor set plus every likely next-degraded set — each
 //     single-GPU-down subset of the survivors — so when a GPU actually
-//     fails, the failover plan is already warm and no request pays a cold
+//     fails, the survivor plan is already warm and no request pays a cold
 //     residual reschedule.
 //
 // Invalidation follows the cache-key rules: GPU membership is named by the

@@ -43,7 +43,7 @@ struct Request {
 /// submitted = admitted + rejected + breaker_rejected and
 /// admitted = completed + dropped + failed.
 enum class Verdict {
-  kCompleted,  ///< executed (and, under faults, possibly failover-recovered)
+  kCompleted,  ///< executed in time (trace mode: possibly after retries)
   kRejected,   ///< bounced at admission: the queue was full
   kDropped,    ///< admitted but the deadline was not met (trace mode: never executed)
   kFailed,     ///< execution failed (unrecoverable fault, engine error)
@@ -64,7 +64,6 @@ struct Response {
   double latency_ms = 0.0;    ///< finish - arrival (queueing + execution)
   double base_ms = 0.0;       ///< single-request latency of the cached schedule
   double contention_scale = 1.0;  ///< stream-slot slowdown applied to base_ms
-  bool recovered = false;     ///< a fault fired and failover completed the run
   int attempts = 1;           ///< dispatch attempts (1 = no retry was needed)
   bool hedged = false;        ///< a hedged second dispatch was issued
   bool hedge_won = false;     ///< the hedge finished before the primary

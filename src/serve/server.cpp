@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "cost/cost_model.h"
-#include "runtime/failover.h"
+#include "runtime/engine.h"
 #include "util/error.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -82,9 +82,6 @@ void ServerOptions::validate() const {
                "ServerOptions: outages leave no survivor GPU at t="
                    << outages[i].from_ms << " ms");
   }
-  HIOS_CHECK(!(faults != nullptr && !faults->empty() && !outages.empty()),
-             "ServerOptions: faults (per-request script) and outages (shared "
-             "server-time script) are mutually exclusive");
 }
 
 ServerOptions Server::validated(ServerOptions options) {
@@ -140,29 +137,12 @@ Server::EngineOutcome Server::execute_plan(const ops::Model& model,
                                            const CachedPlan& plan) {
   EngineOutcome out;
   try {
-    const bool faulted = options_.faults != nullptr && !options_.faults->empty();
-    if (faulted) {
-      runtime::FailoverOptions fo;
-      fo.algorithm = options_.algorithm;
-      fo.config = config_;
-      fo.exec.watchdog_ms = options_.watchdog_ms;
-      auto result = runtime::execute_with_failover(
-          model, plan.profiled.graph, plan.schedule, plan.profiled.cost,
-          *options_.faults, /*inputs=*/{}, fo);
-      out.outputs = std::move(result.outputs);
-      out.timeline = std::move(result.primary.timeline);
-      out.recovery = result.metrics;
-      out.recovered = result.metrics.fault_occurred && result.metrics.recovered;
-    } else {
-      runtime::ExecOptions eo;
-      eo.faults = faulted ? options_.faults : nullptr;
-      eo.watchdog_ms = options_.watchdog_ms;
-      auto result = runtime::execute_schedule(model, plan.profiled.graph,
-                                              plan.schedule, *plan.profiled.cost,
-                                              /*inputs=*/{}, eo);
-      out.outputs = std::move(result.outputs);
-      out.timeline = std::move(result.timeline);
-    }
+    runtime::ExecOptions eo;
+    eo.watchdog_ms = options_.watchdog_ms;
+    auto result = runtime::execute_schedule(model, plan.profiled.graph, plan.schedule,
+                                            *plan.profiled.cost, /*inputs=*/{}, eo);
+    out.outputs = std::move(result.outputs);
+    out.timeline = std::move(result.timeline);
     out.ok = true;
   } catch (const runtime::WatchdogError& e) {
     out.watchdog = true;
@@ -173,26 +153,6 @@ Server::EngineOutcome Server::execute_plan(const ops::Model& model,
   return out;
 }
 
-void Server::probe_due(double now_ms) {
-  for (int g : health_.take_due_probes(now_ms)) {
-    const bool up = !outage_active(options_.outages, g, now_ms);
-    health_.observe(
-        {up ? FaultEvidence::Kind::kProbeSuccess : FaultEvidence::Kind::kProbeFailure, g, now_ms});
-    metrics_.on_probe(up);
-  }
-}
-
-void Server::sync_health(const std::vector<std::string>& models) {
-  for (; counted_transitions_ < health_.transitions().size(); ++counted_transitions_) {
-    metrics_.on_health_transition();
-  }
-  if (health_.generation() == warmed_) return;
-  warmed_ = health_.generation();
-  for (const std::string& name : models) {
-    metrics_.on_pool_prewarm(pool_.prewarm(model(name), health_.up_mask(), 0));
-  }
-}
-
 void Server::settle(Response& resp, EngineOutcome& out, double deadline_ms) {
   if (!out.ok) {
     resp.verdict = Verdict::kFailed;
@@ -201,8 +161,6 @@ void Server::settle(Response& resp, EngineOutcome& out, double deadline_ms) {
   }
   resp.verdict = resp.finish_ms > deadline_ms ? Verdict::kDropped : Verdict::kCompleted;
   resp.outputs = std::move(out.outputs);
-  resp.recovered = out.recovered || resp.attempts > 1;
-  if (options_.faults != nullptr) metrics_.on_failover(out.recovery);
 }
 
 ServeReport Server::run_trace(const Trace& trace) {
@@ -239,7 +197,10 @@ ServeReport Server::run_trace(const Trace& trace) {
   // failure surfaced must still see the full mask (and become a victim
   // itself if it overlaps the outage).
   std::multimap<double, FaultEvidence> evidence;
-  // Replays queued evidence and due probes in time order up to `t`.
+  // Replays queued evidence and due probes in time order up to `t`; a
+  // probe succeeds unless an outage window covers its GPU at that instant.
+  // Each move of the health generation prewarms the survivor plans of the
+  // trace's models (the current mask and each single-GPU-down subset).
   // `t` must be finite: a permanent outage reschedules probes forever.
   auto advance_health = [&](double t) {
     for (;;) {
@@ -250,9 +211,18 @@ ServeReport Server::run_trace(const Trace& trace) {
         health_.observe(evidence.begin()->second);
         evidence.erase(evidence.begin());
       } else {
-        probe_due(next_probe);
+        for (int g : health_.take_due_probes(next_probe)) {
+          const bool up = !outage_active(options_.outages, g, next_probe);
+          health_.observe({up ? FaultEvidence::Kind::kProbeSuccess
+                              : FaultEvidence::Kind::kProbeFailure,
+                           g, next_probe});
+        }
       }
-      sync_health(trace_models);
+      if (health_.generation() == warmed_) continue;
+      warmed_ = health_.generation();
+      for (const std::string& name : trace_models) {
+        metrics_.on_pool_prewarm(pool_.prewarm(model(name), health_.up_mask(), 0));
+      }
     }
   };
 
@@ -408,7 +378,6 @@ ServeReport Server::run_trace(const Trace& trace) {
       resp.verdict = Verdict::kCompleted;
       resp.finish_ms = finish;
       resp.latency_ms = finish - item->req->arrival_ms;
-      resp.recovered = e.attempt > 1;
       lane_free[static_cast<std::size_t>(lane)] = finish;
       item->exec_plan = plan;
 
@@ -519,6 +488,7 @@ ServeReport Server::run_trace(const Trace& trace) {
     report.responses.push_back(std::move(resp));
   }
   metrics_.set_makespan(report.makespan_ms);
+  metrics_.record_health(health_);
 
   const Metrics::Snapshot snap = metrics_.snapshot();
   report.throughput_rps = snap.throughput_rps();
@@ -577,40 +547,11 @@ void Server::online_worker() {
     resp.id = req.id;
     EngineOutcome out;
     try {
-      {
-        // Half-open probing: a due probe succeeds unless an outage window
-        // covers its GPU (online servers normally script none), so the GPU
-        // takes traffic again; the next observed failure re-marks it down.
-        std::lock_guard<std::mutex> lock(health_mu_);
-        probe_due(req.arrival_ms);
-        sync_health({req.model});
-      }
-      const int attempts_allowed = 1 + options_.max_retries;
-      std::shared_ptr<const CachedPlan> plan;
-      for (int attempt = 1; attempt <= attempts_allowed; ++attempt) {
-        resp.attempts = attempt;
-        const uint32_t mask = [this] {
-          std::lock_guard<std::mutex> lock(health_mu_);
-          return health_.up_mask();
-        }();
-        plan = lookup_plan(req.model, mask);
-        if (options_.use_engine) {
-          out = execute_plan(model(req.model), *plan);
-        } else {
-          out = EngineOutcome{};
-          out.ok = true;
-        }
-        if (!out.ok) continue;
-        // Schedule-device ids -> platform GPU ids through the plan's
-        // survivor list before they become shared health evidence.
-        std::lock_guard<std::mutex> lock(health_mu_);
-        for (int g : out.recovery.failed_gpus) {
-          if (g < 0 || g >= static_cast<int>(plan->gpus.size())) continue;
-          health_.observe({FaultEvidence::Kind::kFailStop,
-                           plan->gpus[static_cast<std::size_t>(g)], req.arrival_ms});
-        }
-        sync_health({req.model});
-        break;
+      const auto plan = lookup_plan(req.model);
+      if (options_.use_engine) {
+        out = execute_plan(model(req.model), *plan);
+      } else {
+        out.ok = true;
       }
       resp.base_ms = plan->latency_ms;
       resp.start_ms = req.arrival_ms;

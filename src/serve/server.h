@@ -22,16 +22,18 @@
 //     scheduling entirely — including requests planned around a dead GPU,
 //     whose survivor plans the PlanPool prewarms each time the health
 //     generation moves.
-//   * Health (DESIGN.md §6f): a HealthTracker owns fault state *across*
-//     requests — the first failure marks the GPU down for everyone, later
-//     requests are planned on the survivors, deterministic probes bring
-//     the GPU back. Failed requests retry with exponential backoff onto
-//     the survivor plan (bounded, deadline-aware); slow requests may hedge
-//     a second dispatch on a p99-based trigger. Per-request failover, the
-//     circuit breaker and survivor prewarm always run; none is an option.
+//   * Health (DESIGN.md §6f): GPU outages happen in server virtual time
+//     (ServerOptions::outages), and a HealthTracker owns that fault state
+//     *across* requests — the first victim marks the GPU down for everyone,
+//     later requests are planned on the survivors, deterministic probes
+//     bring the GPU back. Failed requests retry with exponential backoff
+//     onto the survivor plan (bounded, deadline-aware); slow requests may
+//     hedge a second dispatch on a p99-based trigger. The circuit breaker
+//     and survivor prewarm always run; neither is an option.
 //   * Metrics: serve::Metrics counters + tail-latency reservoirs, threaded
-//     through the engine (watchdog fires), failover (recoveries), and the
-//     resilience layer (retried / hedged / hedge_won / breaker_rejected).
+//     through the engine (watchdog fires) and the resilience layer
+//     (retried / hedged / hedge_won / breaker_rejected); the health counts
+//     are the tracker's own.
 //
 // Two entry points share those pieces:
 //   * run_trace(trace) — deterministic serving of a virtual-time request
@@ -39,19 +41,16 @@
 //     retries, and every metric are computed in virtual time (bit-identical
 //     across reruns and thread counts); engine execution of the admitted
 //     requests then fans out over num_lanes() threads (util::ThreadPool),
-//     proving the tensors. GPU failures come from ServerOptions::outages
-//     (server-virtual-time windows shared by all requests).
+//     proving the tensors. Outages, health, retries and the breaker live
+//     here only.
 //   * start()/submit()/drain() — online API: callers race submit() against
-//     the bounded queue from any thread; lane workers execute and fulfil
-//     futures. Wall-clock-concurrent, conservation-exact, but completion
-//     order (hence reservoir insertion order) is scheduling-dependent.
-//     Health state is fed from observed failover recoveries and shared
-//     across lanes under a mutex.
+//     the bounded queue from any thread; lane workers look up the
+//     full-topology plan, execute it once and fulfil futures.
+//     Wall-clock-concurrent, conservation-exact, but completion order
+//     (hence reservoir insertion order) is scheduling-dependent.
 //
-// Both share one request life cycle: probe_due() runs due health probes,
-// sync_health() counts health transitions and prewarms survivor plans,
-// settle() turns an engine outcome into the response's verdict, and
-// Metrics::on_finished() records the final response.
+// Both share one request ending: settle() turns an engine outcome into the
+// response's verdict, and Metrics::on_finished() records the final response.
 #pragma once
 
 #include <future>
@@ -63,7 +62,6 @@
 #include <vector>
 
 #include "cost/gpu_spec.h"
-#include "fault/fault_plan.h"
 #include "serve/health.h"
 #include "serve/metrics.h"
 #include "serve/plan_pool.h"
@@ -91,21 +89,16 @@ struct ServerOptions {
   /// Execute real tensors through the engine (true) or account virtual
   /// time only (false; throughput benchmarks).
   bool use_engine = true;
-  /// Fault script injected into every request's engine run (per-request
-  /// virtual time, so each request sees the same script). nullptr = none.
-  /// A request the script leaves incomplete is rescheduled on the survivors
-  /// (runtime::execute_with_failover). Mutually exclusive with `outages`.
-  const fault::FaultPlan* faults = nullptr;
   /// Engine wall-clock watchdog per blocking receive (<= 0 disables).
   double watchdog_ms = 60000.0;
 
   // --- degraded-mode serving (DESIGN.md §6f) ----------------------------
-  /// Server-virtual-time GPU outage windows (the chaos script): unlike
-  /// `faults`, one request's failure here is everyone's failure — the
+  /// Server-virtual-time GPU outage windows, the server's only fault
+  /// model (run_trace): one request's failure is everyone's failure — the
   /// HealthTracker marks the GPU down and later requests plan around it.
-  /// Mutually exclusive with `faults`. Each health transition prewarms the
-  /// survivor plans; while a GPU is down, a circuit breaker sheds at
-  /// admission any request whose deadline no survivor plan can meet.
+  /// Each health transition prewarms the survivor plans; while a GPU is
+  /// down, a circuit breaker sheds at admission any request whose deadline
+  /// no survivor plan can meet.
   std::vector<GpuOutage> outages;
   HealthOptions health;
   /// Re-dispatch attempts after a failed one (0 disables retries).
@@ -120,7 +113,7 @@ struct ServerOptions {
   int hedge_min_samples = 16;
 
   /// Throws hios::Error naming the offending field on invalid values
-  /// (negative counts, out-of-range outages, faults+outages together, ...).
+  /// (negative counts, out-of-range outages, no survivor GPU, ...).
   void validate() const;
 };
 
@@ -179,11 +172,9 @@ class Server {
   struct EngineOutcome {
     bool ok = false;
     bool watchdog = false;
-    bool recovered = false;
     std::string error;
     std::map<int, ops::Tensor> outputs;
     sim::Timeline timeline;
-    runtime::RecoveryMetrics recovery;
   };
   struct OnlineItem {
     Request request;
@@ -200,15 +191,8 @@ class Server {
                                                 uint32_t mask = kFullMask);
   EngineOutcome execute_plan(const ops::Model& model, const CachedPlan& plan);
   void online_worker();
-  /// Takes every probe due at `now_ms`; a probe succeeds unless an outage
-  /// window covers its GPU at that instant.
-  void probe_due(double now_ms);
-  /// Counts the health transitions not counted yet and, when the health
-  /// generation moved since the last prewarm, prewarms the survivor plans
-  /// of `models` (the current mask and each single-GPU-down subset).
-  void sync_health(const std::vector<std::string>& models);
   /// Settles a dispatched `resp` from its engine outcome: failed with the
-  /// error, or the outputs and recovered bit, dropped past `deadline_ms`.
+  /// error, or the outputs, dropped past `deadline_ms`.
   void settle(Response& resp, EngineOutcome& out, double deadline_ms);
 
   ServerOptions options_;
@@ -217,10 +201,7 @@ class Server {
   Metrics metrics_;
   HealthTracker health_;
   PlanPool pool_;
-  /// Guards health_, counted_transitions_ and warmed_ on the online path.
-  mutable std::mutex health_mu_;
-  std::size_t counted_transitions_ = 0;  ///< health transitions in Metrics
-  uint64_t warmed_ = 0;                  ///< health generation last prewarmed
+  uint64_t warmed_ = 0;  ///< health generation last prewarmed (run_trace)
   std::map<std::string, ops::Model> models_;
   mutable std::mutex models_mu_;
 

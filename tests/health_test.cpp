@@ -29,13 +29,15 @@ TEST(HealthTracker, FailStopGoesStraightToDown) {
   EXPECT_EQ(t.up_mask(), 0b1011u);
   EXPECT_FALSE(t.all_up());
   EXPECT_EQ(t.generation(), 1u);
-  ASSERT_EQ(t.transitions().size(), 1u);
-  EXPECT_EQ(t.transitions()[0].to, HealthState::kDown);
-  EXPECT_EQ(t.transitions()[0].at_ms, 5.0);
+  EXPECT_EQ(t.transitions(), 1u);
+  // The first probe is due one jittered backoff (2 ms +- 25%) after the
+  // fail-stop at 5 ms.
+  EXPECT_GE(t.next_probe_ms(2), 6.5);
+  EXPECT_LT(t.next_probe_ms(2), 7.5);
 
   // A second fail-stop on the same GPU is idempotent.
   t.observe(ev(FaultEvidence::Kind::kFailStop, 2, 6.0));
-  EXPECT_EQ(t.transitions().size(), 1u);
+  EXPECT_EQ(t.transitions(), 1u);
   EXPECT_EQ(t.generation(), 1u);
 }
 

@@ -36,14 +36,6 @@ TEST(Pipeline, PlatformGpuCountPropagates) {
   EXPECT_EQ(out.result.schedule.num_gpus, 4);
 }
 
-TEST(Pipeline, ExplicitConfigOverride) {
-  PipelineOptions opt;
-  opt.config_gpus_from_platform = false;
-  opt.config.num_gpus = 3;
-  const PipelineOutput out = run_pipeline(models::make_single_conv_model(32), opt);
-  EXPECT_EQ(out.result.schedule.num_gpus, 3);
-}
-
 TEST(Pipeline, UnknownAlgorithmThrows) {
   PipelineOptions opt;
   opt.algorithm = "bogus";

@@ -115,7 +115,6 @@ TEST(ServeChaos, KillAndRecoverMidTraceExactlyOnce) {
   EXPECT_EQ(s.probes_succeeded, 1) << "the GPU must probe back to healthy";
   EXPECT_EQ(run.report.health.at("up_mask").as_int(), 0b11)
       << "trace must end with the GPU recovered";
-  EXPECT_EQ(s.failovers, 0) << "outages must not go through per-request failover";
 
   // Plan-pool contract: the transition prewarmed the survivor plans, so no
   // request after it pays a cold residual reschedule.
@@ -127,7 +126,9 @@ TEST(ServeChaos, KillAndRecoverMidTraceExactlyOnce) {
   int degraded = 0;
   for (const Response& r : run.report.responses) {
     if (r.verdict == Verdict::kCompleted && r.topo_mask != kFullMask) ++degraded;
-    if (r.attempts > 1) EXPECT_TRUE(r.recovered);
+    if (r.attempts > 1) {
+      EXPECT_EQ(r.verdict, Verdict::kCompleted);
+    }
   }
   EXPECT_GT(degraded, 0) << "some requests must have completed on the survivor plan";
 }
@@ -190,7 +191,6 @@ TEST(ServeChaos, BreakerShedsUnmeetableDeadlinesWhileDegraded) {
   const Response& r0 = run.report.responses[0];
   EXPECT_EQ(r0.verdict, Verdict::kCompleted);
   EXPECT_EQ(r0.attempts, 2) << "first dispatch was a victim of the outage";
-  EXPECT_TRUE(r0.recovered);
   EXPECT_NE(r0.topo_mask, kFullMask);
 
   EXPECT_EQ(run.report.responses[1].verdict, Verdict::kBreakerRejected);
@@ -225,14 +225,6 @@ TEST(ServeChaos, ValidationRejectsBadChaosConfigs) {
   bad = opt;  // both GPUs down at once: no survivor
   bad.outages.push_back(GpuOutage{0, 1.0, 3.0});
   bad.outages.push_back(GpuOutage{1, 2.0, 4.0});
-  EXPECT_THROW(Server{bad}, Error);
-
-  // Per-request fault scripts and shared outages are mutually exclusive.
-  fault::FaultPlan plan;
-  plan.fail_stops.push_back(fault::FailStop{0, 1.0});
-  bad = opt;
-  bad.faults = &plan;
-  bad.outages.push_back(GpuOutage{0, 1.0, 2.0});
   EXPECT_THROW(Server{bad}, Error);
 }
 

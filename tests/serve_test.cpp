@@ -303,9 +303,17 @@ TEST(Metrics, DegradedModeCountersConserve) {
   m.on_pool_result(CacheOutcome::kHit);
   m.on_pool_result(CacheOutcome::kMiss);
   m.on_pool_prewarm(3);
-  m.on_health_transition();
-  m.on_probe(true);
-  m.on_probe(false);
+  // GPU 0 fail-stops, its first probe fails, the second succeeds: five
+  // transitions (Down, Probing, Down, Probing, Healthy) and two probes.
+  HealthTracker health(2);
+  using Kind = FaultEvidence::Kind;
+  health.observe({Kind::kFailStop, 0, 0.0});
+  for (const Kind kind : {Kind::kProbeFailure, Kind::kProbeSuccess}) {
+    const double due = health.next_probe_due_ms();
+    ASSERT_EQ(health.take_due_probes(due), std::vector<int>{0});
+    health.observe({kind, 0, due});
+  }
+  m.record_health(health);
 
   const Metrics::Snapshot s = m.snapshot();
   EXPECT_TRUE(s.conserved()) << "submitted = admitted + rejected + breaker_rejected";
@@ -316,7 +324,7 @@ TEST(Metrics, DegradedModeCountersConserve) {
   EXPECT_EQ(s.pool_hits, 1);
   EXPECT_EQ(s.pool_misses, 1);
   EXPECT_EQ(s.pool_prewarm_builds, 3);
-  EXPECT_EQ(s.health_transitions, 1);
+  EXPECT_EQ(s.health_transitions, 5);
   EXPECT_EQ(s.probes_sent, 2);
   EXPECT_EQ(s.probes_succeeded, 1);
 
@@ -486,27 +494,6 @@ TEST(Server, UnknownModelFailsTheRequestNotTheServer) {
   EXPECT_TRUE(server.metrics().snapshot().conserved());
 }
 
-TEST(Server, OnlineHealthTransitionsMatchTracker) {
-  // The first request marks GPU 0 down; the second arrives after its probe
-  // is due, so the probe brings GPU 0 back (Down -> Probing -> Healthy)
-  // before the request marks it down again. Metrics counts all four.
-  fault::FaultPlan plan;
-  plan.fail_stops.push_back(fault::FailStop{0, 0.0});
-  ServerOptions opt;
-  opt.platform = cost::make_a40_server(2);
-  opt.slots_per_gpu = 1;
-  opt.faults = &plan;
-  Server server(opt);
-  server.register_model("tiny", tiny_model());
-  server.start();
-  server.submit({0, "tiny", 0.0, kNoDeadline}).wait();
-  server.submit({1, "tiny", 1000.0, kNoDeadline}).wait();
-  server.drain();
-  EXPECT_EQ(server.health().transitions().size(), 4u);
-  EXPECT_EQ(server.metrics().snapshot().health_transitions,
-            static_cast<int64_t>(server.health().transitions().size()));
-}
-
 TEST(Server, RepeatedRunTraceCountsEachTransitionOnce) {
   // The first trace marks GPU 0 down; the probe that brings it back is
   // only due during the second trace. Neither run recounts the other's
@@ -522,9 +509,9 @@ TEST(Server, RepeatedRunTraceCountsEachTransitionOnce) {
   server.run_trace(trace);
   for (Request& r : trace.requests) r.arrival_ms += 10.0;
   server.run_trace(trace);
-  EXPECT_EQ(server.health().transitions().size(), 3u);
+  EXPECT_EQ(server.health().transitions(), 3u);
   EXPECT_EQ(server.metrics().snapshot().health_transitions,
-            static_cast<int64_t>(server.health().transitions().size()));
+            static_cast<int64_t>(server.health().transitions()));
 }
 
 }  // namespace
