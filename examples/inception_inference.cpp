@@ -3,8 +3,7 @@
 // compares all six scheduling algorithms, and optionally exports the best
 // schedule's Chrome trace and a GPU-coloured DOT of the computation graph.
 //
-//   ./inception_inference --image_hw 1024 --gpus 2 \
-//       --trace /tmp/inception_trace.json --dot /tmp/inception.dot
+//   ./inception_inference --image_hw 1024 --gpus 2 --trace /tmp/inception_trace.json --dot /tmp/inception.dot
 #include <cstdio>
 #include <fstream>
 

@@ -2,8 +2,7 @@
 // (§V) from the command line — generate a random DL model with the §V-A
 // parameters and compare all six scheduling algorithms on it.
 //
-//   ./random_dag_explorer --ops 200 --layers 14 --deps 400 --gpus 4 \
-//       --comm_ratio 0.8 --instances 10
+//   ./random_dag_explorer --ops 200 --layers 14 --deps 400 --gpus 4 --comm_ratio 0.8 --instances 10
 #include <cstdio>
 
 #include "core/hios.h"

@@ -3,8 +3,7 @@
 // executes; this tool does the same against the virtual-GPU engine:
 //
 //   # produce a schedule
-//   ./schedule_runner --model squeezenet --algorithm hios-lp \
-//       --save /tmp/sq.json
+//   ./schedule_runner --model squeezenet --algorithm hios-lp --save /tmp/sq.json
 //   # ... later, load + validate + simulate + execute it
 //   ./schedule_runner --model squeezenet --load /tmp/sq.json --execute
 #include <cstdio>

@@ -1,5 +1,5 @@
-// Serving-layer walkthrough: register models, serve a deterministic trace,
-// then race concurrent online submissions against the admission queue.
+// Serving-layer walkthrough: register models and serve a deterministic
+// virtual-time trace through Server::run_trace.
 //
 //   build/examples/serving_demo
 //
@@ -8,7 +8,6 @@
 // replay test pins byte-for-byte). Exits 1 unless the trace dropped at
 // least one request and every request got exactly one verdict.
 #include <cstdio>
-#include <future>
 
 #include "core/hios.h"
 
@@ -58,20 +57,7 @@ int main() {
   std::printf("schedule cache: %zu entries, %zu hits / %zu misses\n\n",
               server.cache().size(), server.cache().hits(), server.cache().misses());
 
-  // --- online API -------------------------------------------------------
-  server.start();
-  std::vector<std::future<serve::Response>> futures;
-  for (int i = 0; i < 6; ++i) {
-    futures.push_back(server.submit({100 + i, i % 2 ? "inception" : "squeezenet", 0.0,
-                                     serve::kNoDeadline}));
-  }
-  server.drain();
-  std::printf("online: ");
-  for (auto& f : futures) {
-    const serve::Response r = f.get();
-    std::printf("#%lld=%s ", static_cast<long long>(r.id), serve::verdict_name(r.verdict));
-  }
-  std::printf("\n\nmetrics JSON:\n%s\n", server.metrics().to_json().dump(true).c_str());
+  std::printf("metrics JSON:\n%s\n", server.metrics().to_json().dump(true).c_str());
   const bool conserved = server.metrics().snapshot().conserved();
   std::printf("trace drops: %d, metrics conserve: %s\n", dropped, conserved ? "yes" : "NO");
   return dropped > 0 && conserved ? 0 : 1;

@@ -62,12 +62,10 @@
 #include "sched/scheduler.h"
 #include "sched/validate.h"
 #include "serve/metrics.h"
-#include "serve/queue.h"
 #include "serve/request.h"
 #include "serve/schedule_cache.h"
 #include "serve/server.h"
 #include "sim/event_sim.h"
-#include "sim/fault_sim.h"
 #include "sim/pipeline_sim.h"
 #include "sim/svg_export.h"
 #include "sim/timeline.h"

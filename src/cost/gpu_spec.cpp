@@ -44,15 +44,15 @@ InterconnectSpec make_pcie_gen3() {
 }
 
 Platform make_dual_a40_nvlink() {
-  return Platform{"2x A40 + NVLink", make_a40(), make_nvlink_bridge(), 2};
+  return Platform{"2x A40 + NVLink", make_a40(), make_nvlink_bridge(), 2, {}};
 }
 
 Platform make_dual_a5500_nvlink() {
-  return Platform{"2x RTX A5500 + NVLink", make_a5500(), make_nvlink_bridge(), 2};
+  return Platform{"2x RTX A5500 + NVLink", make_a5500(), make_nvlink_bridge(), 2, {}};
 }
 
 Platform make_dual_v100s_pcie() {
-  return Platform{"2x V100S + PCIe Gen3", make_v100s(), make_pcie_gen3(), 2};
+  return Platform{"2x V100S + PCIe Gen3", make_v100s(), make_pcie_gen3(), 2, {}};
 }
 
 Platform make_a40_server(int num_gpus) {

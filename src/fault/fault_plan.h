@@ -4,7 +4,7 @@
 // cluster does not cooperate: GPUs fail-stop, links drop or degrade, and
 // stragglers appear mid-inference. FaultPlan is a *deterministic* script of
 // such events over virtual time, shared by the threaded engine and the
-// fault-aware simulator so both observe byte-identical post-fault behaviour
+// fault-aware test oracle so both observe byte-identical post-fault behaviour
 // (the repo's determinism guarantee extends to faulty runs). Plans are
 // JSON-(de)serialisable so tests and benches can replay them, and can be
 // drawn from a seed for randomized studies.

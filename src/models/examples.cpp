@@ -2,6 +2,14 @@
 
 namespace hios::models {
 
+namespace {
+/// `prefix` followed by `i`, built by append: GCC 12 reports a false
+/// -Wrestrict overlap for `"c" + std::to_string(i)` inlined into memcpy.
+std::string indexed(const char* prefix, int i) {
+  return std::string(prefix).append(std::to_string(i));
+}
+}  // namespace
+
 graph::Graph make_fig4_graph(const std::vector<double>& node_weights,
                              const std::vector<double>& edge_weights) {
   std::vector<double> nw = node_weights.empty()
@@ -15,7 +23,7 @@ graph::Graph make_fig4_graph(const std::vector<double>& node_weights,
   graph::Graph g("fig4");
   std::vector<graph::NodeId> v;
   for (int i = 1; i <= 8; ++i)
-    v.push_back(g.add_node("v" + std::to_string(i), nw[static_cast<std::size_t>(i - 1)]));
+    v.push_back(g.add_node(indexed("v", i), nw[static_cast<std::size_t>(i - 1)]));
   g.add_edge(v[0], v[1], ew[0]);  // e1
   g.add_edge(v[0], v[2], ew[1]);  // e2
   g.add_edge(v[1], v[3], ew[2]);  // e3
@@ -33,7 +41,7 @@ graph::Graph make_chain(int n, double w, double e) {
   graph::Graph g("chain" + std::to_string(n));
   graph::NodeId prev = g.add_node("c0", w);
   for (int i = 1; i < n; ++i) {
-    const graph::NodeId cur = g.add_node("c" + std::to_string(i), w);
+    const graph::NodeId cur = g.add_node(indexed("c", i), w);
     g.add_edge(prev, cur, e);
     prev = cur;
   }
@@ -60,8 +68,8 @@ graph::Graph make_twin_chains(int chain_len, double w, double cross_edge) {
   graph::NodeId a = g.add_node("a0", w);
   graph::NodeId b = g.add_node("b0", w);
   for (int i = 1; i < chain_len; ++i) {
-    const graph::NodeId na = g.add_node("a" + std::to_string(i), w);
-    const graph::NodeId nb = g.add_node("b" + std::to_string(i), w);
+    const graph::NodeId na = g.add_node(indexed("a", i), w);
+    const graph::NodeId nb = g.add_node(indexed("b", i), w);
     g.add_edge(a, na, cross_edge);
     g.add_edge(b, nb, cross_edge);
     a = na;

@@ -22,8 +22,10 @@ struct TensorShape {
   bool operator==(const TensorShape&) const = default;
 
   std::string to_string() const {
-    return "[" + std::to_string(n) + "," + std::to_string(c) + "," +
-           std::to_string(h) + "," + std::to_string(w) + "]";
+    std::string s = "[";
+    s.append(std::to_string(n)).append(",").append(std::to_string(c)).append(",");
+    s.append(std::to_string(h)).append(",").append(std::to_string(w)).append("]");
+    return s;
   }
 };
 

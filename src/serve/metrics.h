@@ -32,10 +32,10 @@
 
 namespace hios::serve {
 
-/// Thread-safe metrics sink shared by the server's admission and execution
-/// paths. All mutators may race; aggregates are order-independent except
-/// reservoir insertion order (Server::run_trace therefore records samples
-/// in request-id order).
+/// Thread-safe metrics sink of Server::run_trace. Every mutator locks, so a
+/// snapshot may be taken from any thread; aggregates are order-independent
+/// except reservoir insertion order, which run_trace fixes by recording
+/// samples in request-id order.
 class Metrics {
  public:
   // --- admission ------------------------------------------------------

@@ -36,25 +36,26 @@ CacheLookup ScheduleCache::get(const ops::Model& model, const std::string& algor
   const Key key{model.fingerprint(), model.fingerprint_check(), config, mask,
                 topo.generation, algorithm};
 
-  std::promise<std::shared_ptr<const CachedPlan>> promise;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      if (it->second.plan != nullptr) {
-        ++hits_;
-        return {it->second.plan, CacheOutcome::kHit};
-      }
-      // Another call is building this key right now: wait on its future
-      // instead of scheduling the same model twice.
-      ++coalesced_;
-      auto pending = it->second.pending;
-      lock.unlock();
-      return {pending.get(), CacheOutcome::kCoalesced};  // rethrows a failed build
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it != map_.end()) {
+    if (it->second.plan != nullptr) {
+      ++hits_;
+      return {it->second.plan, CacheOutcome::kHit};
     }
-    ++misses_;
-    map_.emplace(key, Slot{nullptr, promise.get_future().share()});
+    // Another call is building this key right now: wait on its future
+    // instead of scheduling the same model twice.
+    ++coalesced_;
+    auto pending = it->second.pending;
+    lock.unlock();
+    return {pending.get(), CacheOutcome::kCoalesced};  // rethrows a failed build
   }
+  ++misses_;
+  // Only a miss makes the promise that latecomers wait on: a warm hit
+  // allocates nothing.
+  std::promise<std::shared_ptr<const CachedPlan>> promise;
+  map_.emplace(key, Slot{nullptr, promise.get_future().share()});
+  lock.unlock();
 
   // Cold build outside the lock: warm hits and other keys proceed meanwhile.
   std::shared_ptr<const CachedPlan> plan;
@@ -62,14 +63,14 @@ CacheLookup ScheduleCache::get(const ops::Model& model, const std::string& algor
     plan = build_plan(model, algorithm, config, mask, width_mask);
   } catch (...) {
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      std::lock_guard<std::mutex> guard(mu_);
       map_.erase(key);  // allow a later call to retry the key
     }
     promise.set_exception(std::current_exception());
     throw;
   }
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> guard(mu_);
     Slot& slot = map_[key];
     slot.plan = plan;
     slot.pending = {};

@@ -104,8 +104,6 @@ Server::Server(ServerOptions options)
   metrics_.set_queue_capacity(options_.queue_capacity);
 }
 
-Server::~Server() { drain(); }
-
 void Server::register_model(const std::string& name, ops::Model model) {
   HIOS_CHECK(!name.empty(), "register_model: name must not be empty");
   std::lock_guard<std::mutex> lock(models_mu_);
@@ -151,16 +149,6 @@ Server::EngineOutcome Server::execute_plan(const ops::Model& model,
     out.error = e.what();
   }
   return out;
-}
-
-void Server::settle(Response& resp, EngineOutcome& out, double deadline_ms) {
-  if (!out.ok) {
-    resp.verdict = Verdict::kFailed;
-    resp.error = out.error;
-    return;
-  }
-  resp.verdict = resp.finish_ms > deadline_ms ? Verdict::kDropped : Verdict::kCompleted;
-  resp.outputs = std::move(out.outputs);
 }
 
 ServeReport Server::run_trace(const Trace& trace) {
@@ -480,8 +468,15 @@ ServeReport Server::run_trace(const Trace& trace) {
       metrics_.on_admitted(item.depth_at_admission);
     }
     if (options_.use_engine && resp.verdict == Verdict::kCompleted) {
-      settle(resp, out, item.req->deadline_ms);
-      if (out.ok) report.timeline.merge(out.timeline.shifted(resp.start_ms));
+      // Dispatch committed only runs that meet their deadline, so the
+      // engine either proves the tensors or fails the request.
+      if (out.ok) {
+        resp.outputs = std::move(out.outputs);
+        report.timeline.merge(out.timeline.shifted(resp.start_ms));
+      } else {
+        resp.verdict = Verdict::kFailed;
+        resp.error = out.error;
+      }
     }
     metrics_.on_finished(resp, out.watchdog);
     report.makespan_ms = std::max(report.makespan_ms, resp.finish_ms);
@@ -495,78 +490,6 @@ ServeReport Server::run_trace(const Trace& trace) {
   report.metrics = metrics_.to_json();
   report.health = health_.to_json();
   return report;
-}
-
-// --- online API ---------------------------------------------------------
-
-void Server::start() {
-  if (!workers_.empty()) return;
-  online_queue_ =
-      std::make_unique<BoundedQueue<OnlineItem>>(options_.queue_capacity);
-  const int lanes = num_lanes();
-  workers_.reserve(static_cast<std::size_t>(lanes));
-  for (int l = 0; l < lanes; ++l) {
-    workers_.emplace_back([this] { online_worker(); });
-  }
-}
-
-std::future<Response> Server::submit(Request request) {
-  HIOS_CHECK(!workers_.empty(), "Server::submit requires start()");
-  metrics_.on_submitted();
-  OnlineItem item;
-  item.request = std::move(request);
-  std::future<Response> future = item.promise.get_future();
-  const RequestId id = item.request.id;
-  const double arrival = item.request.arrival_ms;
-  if (online_queue_->try_push(std::move(item))) {
-    metrics_.on_admitted(online_queue_->size());
-    metrics_.record_queue_depth(online_queue_->size());
-  } else {
-    Response resp;
-    resp.id = id;
-    resp.verdict = Verdict::kRejected;
-    resp.start_ms = arrival;
-    resp.finish_ms = arrival;
-    metrics_.on_finished(resp);
-    item.promise.set_value(std::move(resp));
-  }
-  return future;
-}
-
-void Server::drain() {
-  if (online_queue_) online_queue_->close();
-  for (auto& t : workers_) t.join();
-  workers_.clear();
-}
-
-void Server::online_worker() {
-  while (auto popped = online_queue_->pop()) {
-    OnlineItem item = std::move(*popped);
-    const Request& req = item.request;
-    Response resp;
-    resp.id = req.id;
-    EngineOutcome out;
-    try {
-      const auto plan = lookup_plan(req.model);
-      if (options_.use_engine) {
-        out = execute_plan(model(req.model), *plan);
-      } else {
-        out.ok = true;
-      }
-      resp.base_ms = plan->latency_ms;
-      resp.start_ms = req.arrival_ms;
-      resp.finish_ms = req.arrival_ms + plan->latency_ms;
-      resp.latency_ms = plan->latency_ms;
-      resp.topo_mask = plan->topo_mask;
-      settle(resp, out, req.deadline_ms);
-    } catch (const std::exception& e) {
-      resp.verdict = Verdict::kFailed;
-      resp.error = e.what();
-      out.watchdog = false;
-    }
-    metrics_.on_finished(resp, out.watchdog);
-    item.promise.set_value(std::move(resp));
-  }
 }
 
 }  // namespace hios::serve

@@ -4,11 +4,11 @@
 // inference; a serving system multiplexes many. The server adds the
 // request level on top of the per-request machinery:
 //
-//   * Admission: a bounded MPMC queue with per-request deadlines. A full
-//     queue rejects (overload shedding); an admitted request whose deadline
-//     cannot be met at dispatch time is dropped without executing; under a
-//     degraded topology a circuit breaker sheds requests whose deadline no
-//     survivor plan can meet (kBreakerRejected).
+//   * Admission: a virtual-time queue bound with per-request deadlines. A
+//     full queue rejects (overload shedding); an admitted request whose
+//     deadline cannot be met at dispatch time is dropped without executing;
+//     under a degraded topology a circuit breaker sheds requests whose
+//     deadline no survivor plan can meet (kBreakerRejected).
 //   * Stream slots: `slots_per_gpu` lanes, each spanning the whole vGPU
 //     set, execute up to K requests concurrently — the modelled analogue of
 //     running K CUDA streams per GPU (§III-A's L). Overlapping requests
@@ -35,29 +35,18 @@
 //     (retried / hedged / hedge_won / breaker_rejected); the health counts
 //     are the tracker's own.
 //
-// Two entry points share those pieces:
-//   * run_trace(trace) — deterministic serving of a virtual-time request
-//     trace. Admission, dispatch, contention, health transitions, probes,
-//     retries, and every metric are computed in virtual time (bit-identical
-//     across reruns and thread counts); engine execution of the admitted
-//     requests then fans out over num_lanes() threads (util::ThreadPool),
-//     proving the tensors. Outages, health, retries and the breaker live
-//     here only.
-//   * start()/submit()/drain() — online API: callers race submit() against
-//     the bounded queue from any thread; lane workers look up the
-//     full-topology plan, execute it once and fulfil futures.
-//     Wall-clock-concurrent, conservation-exact, but completion order
-//     (hence reservoir insertion order) is scheduling-dependent.
-//
-// Both share one request ending: settle() turns an engine outcome into the
-// response's verdict, and Metrics::on_finished() records the final response.
+// run_trace(trace) is the server's one serving loop: deterministic serving
+// of a virtual-time request trace. Admission, dispatch, contention, health
+// transitions, probes, retries, and every metric are computed in virtual
+// time (bit-identical across reruns and thread counts); engine execution
+// of the admitted requests then fans out over num_lanes() threads
+// (util::ThreadPool), proving the tensors.
 #pragma once
 
-#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -65,7 +54,6 @@
 #include "serve/health.h"
 #include "serve/metrics.h"
 #include "serve/plan_pool.h"
-#include "serve/queue.h"
 #include "serve/request.h"
 #include "serve/schedule_cache.h"
 #include "sim/timeline.h"
@@ -138,7 +126,6 @@ double stream_contention_scale(int concurrency, double demand, double kappa);
 class Server {
  public:
   explicit Server(ServerOptions options);
-  ~Server();
 
   /// Registers `model` under `name`; requests reference it by name.
   /// Re-registering a name replaces the model (the schedule cache keys on
@@ -148,16 +135,6 @@ class Server {
 
   /// Deterministic virtual-time serving of a trace (see file comment).
   ServeReport run_trace(const Trace& trace);
-
-  // --- online API -----------------------------------------------------
-  /// Spawns the lane workers. Idempotent.
-  void start();
-  /// Admission-checks and enqueues; the future resolves when a lane
-  /// finishes the request (immediately, with kRejected, when the queue is
-  /// full). Requires start().
-  std::future<Response> submit(Request request);
-  /// Closes the queue, lets workers drain every admitted request, joins.
-  void drain();
 
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
@@ -176,10 +153,6 @@ class Server {
     std::map<int, ops::Tensor> outputs;
     sim::Timeline timeline;
   };
-  struct OnlineItem {
-    Request request;
-    std::promise<Response> promise;
-  };
 
   static ServerOptions validated(ServerOptions options);
   static sched::SchedulerConfig effective_config(const ServerOptions& options);
@@ -190,10 +163,6 @@ class Server {
   std::shared_ptr<const CachedPlan> lookup_plan(const std::string& model_name,
                                                 uint32_t mask = kFullMask);
   EngineOutcome execute_plan(const ops::Model& model, const CachedPlan& plan);
-  void online_worker();
-  /// Settles a dispatched `resp` from its engine outcome: failed with the
-  /// error, or the outputs, dropped past `deadline_ms`.
-  void settle(Response& resp, EngineOutcome& out, double deadline_ms);
 
   ServerOptions options_;
   sched::SchedulerConfig config_;  ///< options_.config with num_gpus applied
@@ -204,9 +173,6 @@ class Server {
   uint64_t warmed_ = 0;  ///< health generation last prewarmed (run_trace)
   std::map<std::string, ops::Model> models_;
   mutable std::mutex models_mu_;
-
-  std::unique_ptr<BoundedQueue<OnlineItem>> online_queue_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace hios::serve

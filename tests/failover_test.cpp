@@ -12,12 +12,12 @@
 #include "models/examples.h"
 #include "models/inception.h"
 #include "models/nasnet.h"
+#include "oracles/oracles.h"
 #include "runtime/engine.h"
 #include "runtime/failover.h"
 #include "sched/evaluate.h"
 #include "sched/scheduler.h"
 #include "sim/event_sim.h"
-#include "sim/fault_sim.h"
 
 namespace hios::runtime {
 namespace {
@@ -90,8 +90,10 @@ void expect_failover_recovers(const ops::Model& model, int num_gpus,
   plan.fail_stops.push_back(
       fault::FailStop{failed_gpu, victim_starts[victim_starts.size() / 2]});
 
+  FailoverOptions options;
+  options.algorithm = algorithm;
   const FailoverResult run = execute_with_failover(model, pm.graph, planned.schedule,
-                                                   pm.cost, plan, {}, {algorithm});
+                                                   pm.cost, plan, {}, options);
 
   ASSERT_FALSE(run.primary.complete);  // the fault really struck mid-run
   EXPECT_TRUE(run.metrics.fault_occurred);
@@ -275,8 +277,8 @@ TEST(Failover, EngineAndSimulatorAgreeOnFaultyRuns) {
     options.allow_partial = true;
     const ExecutionResult engine =
         execute_schedule(m, pm.graph, planned.schedule, *pm.cost, {}, options);
-    const sim::FaultyRun sim =
-        sim::simulate_stages_faulty(pm.graph, planned.schedule, *pm.cost, plan);
+    const oracle::FaultyRun sim =
+        oracle::simulate_stages_faulty(pm.graph, planned.schedule, *pm.cost, plan);
 
     ASSERT_EQ(engine.complete, sim.complete) << "seed " << seed;
     ASSERT_DOUBLE_EQ(engine.latency_ms, sim.makespan_ms) << "seed " << seed;
@@ -296,8 +298,8 @@ TEST(Failover, FaultSimMatchesFaultFreeSimulatorOnEmptyPlan) {
   const auto planned = sched::make_scheduler("hios-mr")->schedule(pm.graph, *pm.cost, config);
 
   const fault::FaultPlan benign;
-  const sim::FaultyRun run =
-      sim::simulate_stages_faulty(pm.graph, planned.schedule, *pm.cost, benign);
+  const oracle::FaultyRun run =
+      oracle::simulate_stages_faulty(pm.graph, planned.schedule, *pm.cost, benign);
   EXPECT_TRUE(run.complete);
   EXPECT_DOUBLE_EQ(run.makespan_ms, planned.latency_ms);
 }

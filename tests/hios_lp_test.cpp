@@ -54,7 +54,9 @@ TEST(HiosLp, TwinChainsSplitAcrossGpus) {
   // Both chains fully on one GPU each (no pointless splitting).
   const auto gpu_of = lp.schedule.gpu_assignment(g.num_nodes());
   for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(g.num_nodes()); ++v) {
-    if (g.node_name(v)[0] == 'a') EXPECT_EQ(gpu_of[static_cast<std::size_t>(v)], gpu_of[0]);
+    if (g.node_name(v)[0] == 'a') {
+      EXPECT_EQ(gpu_of[static_cast<std::size_t>(v)], gpu_of[0]);
+    }
   }
 }
 

@@ -85,9 +85,8 @@ TEST_P(PipelineIntegration, FullChainInvariantsHold) {
 
 std::vector<Case> make_cases() {
   std::vector<Case> cases;
-  for (const std::string& model : {"inception", "nasnet", "resnet", "squeezenet", "randwire"})
-    for (const std::string& alg :
-         {"sequential", "ios", "hios-lp", "hios-mr", "inter-lp", "inter-mr"})
+  for (const char* model : {"inception", "nasnet", "resnet", "squeezenet", "randwire"})
+    for (const char* alg : {"sequential", "ios", "hios-lp", "hios-mr", "inter-lp", "inter-mr"})
       cases.push_back(Case{model, alg});
   return cases;
 }
@@ -100,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(ZooTimesAlgorithms, PipelineIntegration,
 // model's native size with 2 GPUs (the paper's headline premise).
 
 TEST(Integration, HiosLpBeatsSequentialAcrossZoo) {
-  for (const std::string& name : {"inception", "nasnet", "resnet", "squeezenet"}) {
+  for (const char* name : {"inception", "nasnet", "resnet", "squeezenet"}) {
     const ops::Model model = build_model(name);
     const cost::ProfiledModel pm = cost::profile_model(model, cost::make_dual_a40_nvlink());
     sched::SchedulerConfig config;

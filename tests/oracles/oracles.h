@@ -17,6 +17,9 @@
 //   * optimal_single_gpu_latency / optimal_inter_gpu_latency: exhaustive
 //     searches for the best schedule of a tiny graph, the optimality
 //     oracles for IOS and for the inter-GPU halves of HIOS-LP / HIOS-MR.
+//   * simulate_stages_faulty: a fault-aware discrete-event replay of a
+//     schedule under a fault::FaultPlan, the oracle the vGPU engine's
+//     faulty runs must match bit for bit.
 // None of this is linked into src/; it exists for tests only.
 #pragma once
 
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "cost/cost_model.h"
+#include "fault/fault_plan.h"
 #include "graph/graph.h"
 #include "ops/model.h"
 #include "sched/evaluate.h"
@@ -97,5 +101,22 @@ double optimal_single_gpu_latency(const graph::Graph& g, const cost::CostModel& 
 /// nodes (the search is M^n times products of permutations).
 double optimal_inter_gpu_latency(const graph::Graph& g, const cost::CostModel& cost,
                                  int num_gpus);
+
+/// Outcome of one simulated faulty run.
+struct FaultyRun {
+  sim::Timeline timeline;             ///< executed stages + transfers + retries
+  bool complete = true;               ///< every op executed
+  double makespan_ms = 0.0;           ///< max finish over executed stages
+  std::vector<char> executed;         ///< per graph node
+  std::vector<double> node_finish_ms; ///< per graph node; -1 when not executed
+  std::vector<fault::FaultObservation> observations;
+};
+
+/// Stage-level fault-aware simulation of `schedule` under `plan`, with the
+/// engine's semantics (see fault_sim.cpp). The schedule must be valid
+/// (throws otherwise, like the engine).
+FaultyRun simulate_stages_faulty(const graph::Graph& g, const sched::Schedule& schedule,
+                                 const cost::CostModel& cost,
+                                 const fault::FaultPlan& plan);
 
 }  // namespace hios::oracle

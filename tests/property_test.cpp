@@ -102,8 +102,7 @@ TEST_P(SchedulerProperty, DeterministicAcrossRuns) {
 
 std::vector<Case> make_cases() {
   std::vector<Case> cases;
-  for (const std::string& alg :
-       {"sequential", "ios", "hios-lp", "hios-mr", "inter-lp", "inter-mr"}) {
+  for (const char* alg : {"sequential", "ios", "hios-lp", "hios-mr", "inter-lp", "inter-mr"}) {
     for (uint64_t seed : {1ull, 2ull, 3ull}) {
       for (int m : {2, 4}) {
         cases.push_back(Case{alg, seed, m});

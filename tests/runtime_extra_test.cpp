@@ -160,7 +160,7 @@ TEST(Engine, RepeatedExecutionsStable) {
     std::vector<ops::OpId> branches;
     for (int i = 0; i < 6; ++i) {
       branches.push_back(model.add_op(
-          ops::Op(ops::OpKind::kConv2d, "b" + std::to_string(i),
+          ops::Op(ops::OpKind::kConv2d, std::string("b").append(std::to_string(i)),
                   ops::Conv2dAttr{4, 3, 3, 1, 1, 1, 1, 1}),
           {in}));
     }

@@ -594,7 +594,9 @@ TEST(SchedCore, PlacePathMatchesSequentialTrials) {
           fused.set_gpu(v, gpu);
           trials.set_gpu(v, gpu);
           ++remaps;
-          if (rng() % 2 == 0) ASSERT_EQ(bits(fused.latency()), bits(trials.latency()));
+          if (rng() % 2 == 0) {
+            ASSERT_EQ(bits(fused.latency()), bits(trials.latency()));
+          }
         }
       }
       EXPECT_EQ(fused.schedule().to_json(g).dump(), trials.schedule().to_json(g).dump());

@@ -1,15 +1,15 @@
-// Stress/soak: 64 concurrent online requests x mixed models, and a
-// run_trace soak with a GPU killed and probed back mid-trace. Pins the
-// serving layer's liveness contract:
+// Stress/soak: 64 mixed-model requests arriving together, and a run_trace
+// soak with a GPU killed and probed back mid-trace. Pins the serving
+// layer's liveness contract:
 //   * the run terminates (no hang) without the engine watchdog ever firing,
-//   * no response is lost or duplicated (every submitted id resolves once),
+//   * no response is lost or duplicated (every request id resolves once),
 //   * metrics conserve: submitted = admitted + rejected + breaker_rejected
 //     and admitted = completed + dropped + failed.
-// Runs under TSan in CI (label: stress), where the bounded queue, the lane
-// workers, and the engine's channel protocol all race for real.
+// Runs under TSan in CI (label: stress), where run_trace's engine lanes,
+// the shared model registry and the engine's channel protocol all race
+// for real.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
 #include <set>
 #include <thread>
@@ -43,23 +43,10 @@ ops::Model small_squeezenet() {
   return models::make_squeezenet(opt);
 }
 
-void expect_no_losses(const std::vector<std::future<Response>>& resolved,
-                      Server& server, int submitted) {
-  // conservation holds after drain
-  const Metrics::Snapshot s = server.metrics().snapshot();
-  EXPECT_TRUE(s.conserved()) << "submitted=" << s.submitted
-                             << " admitted=" << s.admitted
-                             << " rejected=" << s.rejected
-                             << " completed=" << s.completed
-                             << " dropped=" << s.dropped << " failed=" << s.failed;
-  EXPECT_EQ(s.submitted, submitted);
-  EXPECT_EQ(s.watchdog_fires, 0) << "engine watchdog fired: runtime wedged";
-  (void)resolved;
-}
-
 TEST(ServeStress, SoakMixedModels) {
-  // 64 online requests over two models on 4 slots: the bounded queue, the
-  // lane workers and the engine all race.
+  // 64 requests over two models, all arriving at t = 0, on 4 slots: the
+  // engine lanes of run_trace prove every admitted request's tensors
+  // concurrently.
   ServerOptions opt;
   opt.platform = cost::make_a40_server(2);
   opt.slots_per_gpu = 4;
@@ -69,73 +56,31 @@ TEST(ServeStress, SoakMixedModels) {
   Server server(opt);
   server.register_model("branchy", branchy_model());
   server.register_model("squeezenet", small_squeezenet());
-  server.start();
 
   constexpr int kRequests = 64;
-  std::vector<std::future<Response>> futures;
-  futures.reserve(kRequests);
+  Trace trace;
   for (int i = 0; i < kRequests; ++i) {
-    futures.push_back(
-        server.submit({i, i % 3 == 0 ? "squeezenet" : "branchy", 0.0, kNoDeadline}));
+    trace.requests.push_back({i, i % 3 == 0 ? "squeezenet" : "branchy", 0.0, kNoDeadline});
   }
-  server.drain();
+  const ServeReport report = server.run_trace(trace);
 
+  ASSERT_EQ(report.responses.size(), static_cast<std::size_t>(kRequests));
   std::set<RequestId> ids;
-  int completed = 0;
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready)
-        << "a future never resolved: request lost";
-    const Response r = f.get();
+  for (const Response& r : report.responses) {
     EXPECT_TRUE(ids.insert(r.id).second) << "duplicate response id " << r.id;
-    if (r.verdict == Verdict::kCompleted) {
-      ++completed;
-      EXPECT_FALSE(r.outputs.empty());
-    } else {
-      // A request may legitimately be rejected (full queue) but must never
-      // hang or vanish.
-      EXPECT_EQ(r.verdict, Verdict::kRejected) << verdict_name(r.verdict) << ": " << r.error;
-    }
+    EXPECT_EQ(r.verdict, Verdict::kCompleted) << verdict_name(r.verdict) << ": " << r.error;
+    EXPECT_FALSE(r.outputs.empty());
   }
   EXPECT_EQ(ids.size(), static_cast<std::size_t>(kRequests));
-  EXPECT_GT(completed, 0);
-  expect_no_losses(futures, server, kRequests);
-}
 
-TEST(ServeStress, SaturatedQueueShedsButConserves) {
-  // Tiny queue + many submitters: most requests bounce at admission, but
-  // conservation and exactly-once resolution still hold.
-  ServerOptions opt;
-  opt.platform = cost::make_a40_server(2);
-  opt.slots_per_gpu = 2;
-  opt.queue_capacity = 4;
-  Server server(opt);
-  server.register_model("branchy", branchy_model());
-  server.start();
-
-  constexpr int kThreads = 8, kPerThread = 8;
-  std::vector<std::future<Response>> futures(kThreads * kPerThread);
-  std::vector<std::thread> submitters;
-  for (int t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        const int id = t * kPerThread + i;
-        futures[static_cast<std::size_t>(id)] =
-            server.submit({id, "branchy", 0.0, kNoDeadline});
-      }
-    });
-  }
-  for (auto& t : submitters) t.join();
-  server.drain();
-
-  std::set<RequestId> ids;
-  for (auto& f : futures) {
-    ASSERT_TRUE(f.valid());
-    const Response r = f.get();
-    EXPECT_TRUE(ids.insert(r.id).second);
-  }
-  EXPECT_EQ(ids.size(), static_cast<std::size_t>(kThreads * kPerThread));
-  expect_no_losses(futures, server, kThreads * kPerThread);
-  EXPECT_LE(server.metrics().snapshot().queue_high_watermark, opt.queue_capacity);
+  const Metrics::Snapshot s = server.metrics().snapshot();
+  EXPECT_TRUE(s.conserved()) << "submitted=" << s.submitted
+                             << " admitted=" << s.admitted
+                             << " rejected=" << s.rejected
+                             << " completed=" << s.completed
+                             << " dropped=" << s.dropped << " failed=" << s.failed;
+  EXPECT_EQ(s.submitted, kRequests);
+  EXPECT_EQ(s.watchdog_fires, 0) << "engine watchdog fired: runtime wedged";
 }
 
 TEST(ServeStress, MidSoakGpuKillAndRecoveryConserves) {

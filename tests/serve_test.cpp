@@ -1,5 +1,5 @@
-// Unit tests of the serving building blocks: bounded queue, contention
-// scale, schedule cache, metrics conservation, and virtual-time admission.
+// Unit tests of the serving building blocks: contention scale, schedule
+// cache, metrics conservation, and virtual-time admission.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -8,8 +8,8 @@
 #include "cost/cost_model.h"
 #include "models/examples.h"
 #include "serve/metrics.h"
-#include "serve/queue.h"
 #include "serve/server.h"
+#include "util/error.h"
 
 namespace hios::serve {
 namespace {
@@ -22,27 +22,6 @@ ops::Model tiny_model(const std::string& name = "tiny") {
   const OpId c2 = m.add_op(Op(OpKind::kConv2d, "c2", Conv2dAttr{4, 3, 3, 1, 1, 1, 1, 1}), {in});
   m.add_op(Op(OpKind::kConcat, "cat"), {c1, c2});
   return m;
-}
-
-TEST(BoundedQueue, RejectsWhenFullAndDrainsWhenClosed) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full
-  EXPECT_EQ(q.size(), 2u);
-  q.close();
-  EXPECT_FALSE(q.try_push(4));  // closed
-  EXPECT_EQ(q.pop(), 1);        // closed queues still drain
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, FailedTryPushLeavesValueIntact) {
-  BoundedQueue<std::string> q(1);
-  std::string a = "first", b = "second";
-  EXPECT_TRUE(q.try_push(std::move(a)));
-  EXPECT_FALSE(q.try_push(std::move(b)));
-  EXPECT_EQ(b, "second");  // rejected value still usable by the caller
 }
 
 TEST(ContentionScale, MatchesMalleableTaskFormula) {
@@ -464,33 +443,26 @@ TEST(Server, EngineModeProducesTensorsAndTimeline) {
   EXPECT_GE(report.timeline.latency_ms, report.makespan_ms - 1e-9);
 }
 
-TEST(Server, OnlineSubmitFulfilsFutures) {
-  ServerOptions opt;
-  opt.platform = cost::make_a40_server(2);
-  opt.slots_per_gpu = 2;
-  Server server(opt);
-  server.register_model("tiny", tiny_model());
-  server.start();
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(server.submit({i, "tiny", 0.0, kNoDeadline}));
-  server.drain();
-  for (auto& f : futures) {
-    const Response r = f.get();
-    EXPECT_EQ(r.verdict, Verdict::kCompleted);
-    EXPECT_FALSE(r.outputs.empty());
-  }
-  EXPECT_TRUE(server.metrics().snapshot().conserved());
-}
-
 TEST(Server, UnknownModelFailsTheRequestNotTheServer) {
+  // run_trace resolves every plan before admission, so an unregistered
+  // model fails the whole call with a structured error, never the server.
   Server server(sim_options(2, 1));
   server.register_model("tiny", tiny_model());
-  server.start();
-  auto f = server.submit({0, "nope", 0.0, kNoDeadline});
-  server.drain();
-  const Response r = f.get();
-  EXPECT_EQ(r.verdict, Verdict::kFailed);
-  EXPECT_NE(r.error.find("unknown model"), std::string::npos);
+  Trace bad;
+  bad.requests.push_back({0, "nope", 0.0, kNoDeadline});
+  try {
+    server.run_trace(bad);
+    FAIL() << "a trace naming an unregistered model must throw";
+  } catch (const hios::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown model 'nope'"), std::string::npos)
+        << e.what();
+  }
+  // The server still serves registered models afterwards.
+  TraceParams params;
+  params.models = {"tiny"};
+  params.num_requests = 4;
+  const ServeReport report = server.run_trace(Trace::random(params, 1));
+  for (const Response& r : report.responses) EXPECT_EQ(r.verdict, Verdict::kCompleted);
   EXPECT_TRUE(server.metrics().snapshot().conserved());
 }
 

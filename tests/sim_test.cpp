@@ -72,7 +72,7 @@ TEST(SimulateStages, GroupedStageCycleReturnsNullopt) {
   // GPU 0's stage {0, 3} waits on GPU 1's stage {1, 2} and vice versa —
   // each stage holds independent ops, so only the *stage* level deadlocks.
   graph::Graph g("cross");
-  for (int i = 0; i < 4; ++i) g.add_node("n" + std::to_string(i), 1.0);
+  for (int i = 0; i < 4; ++i) g.add_node(std::string("n").append(std::to_string(i)), 1.0);
   g.add_edge(0, 1, 0.1);
   g.add_edge(2, 3, 0.1);
   sched::Schedule s(2);
