@@ -45,14 +45,21 @@ class CostModel {
   virtual double demand(const graph::Graph& g, graph::NodeId v) const = 0;
 
   /// Transfer time of edge `e` when its producer runs on `src_gpu` and its
-  /// consumer on `dst_gpu`. Zero when co-located. The default treats the
-  /// machine as symmetric (every pair = the base link, i.e. the edge
-  /// weight); models with a Topology scale by the pair's link class.
-  virtual double transfer_time(const graph::Graph& g, graph::EdgeId e, int src_gpu,
-                               int dst_gpu) const {
+  /// consumer on `dst_gpu`: transfer_time(edge weight, src_gpu, dst_gpu).
+  double transfer_time(const graph::Graph& g, graph::EdgeId e, int src_gpu,
+                       int dst_gpu) const {
+    return transfer_time(g.edge(e).weight, src_gpu, dst_gpu);
+  }
+
+  /// Transfer time of an edge of base weight `weight` (the t(u,v) stored
+  /// on the graph). Zero when co-located. Without a Topology the machine
+  /// is symmetric (every pair = the base link, i.e. the edge weight); with
+  /// one, the weight is scaled by the pair's link class. Inner loops that
+  /// hoist edge weights call this form.
+  double transfer_time(double weight, int src_gpu, int dst_gpu) const {
     if (src_gpu == dst_gpu) return 0.0;
-    if (!topology_.empty()) return topology_.apply(g.edge(e).weight, src_gpu, dst_gpu);
-    return g.edge(e).weight;
+    if (!topology_.empty()) return topology_.apply(weight, src_gpu, dst_gpu);
+    return weight;
   }
 
   /// Installs a per-pair topology (empty = symmetric machine).

@@ -19,11 +19,19 @@ CompiledGraph::CompiledGraph(const Graph& g) : g_(&g), n_(g.num_nodes()) {
   }
   in_csr_.resize(m);
   out_csr_.resize(m);
+  in_src_.resize(m);
+  out_dst_.resize(m);
   for (NodeId v = 0; v < static_cast<NodeId>(n_); ++v) {
     std::size_t i = static_cast<std::size_t>(in_head_[static_cast<std::size_t>(v)]);
-    for (EdgeId e : g.in_edges(v)) in_csr_[i++] = e;
+    for (EdgeId e : g.in_edges(v)) {
+      in_src_[i] = g.edge(e).src;
+      in_csr_[i++] = e;
+    }
     std::size_t o = static_cast<std::size_t>(out_head_[static_cast<std::size_t>(v)]);
-    for (EdgeId e : g.out_edges(v)) out_csr_[o++] = e;
+    for (EdgeId e : g.out_edges(v)) {
+      out_dst_[o] = g.edge(e).dst;
+      out_csr_[o++] = e;
+    }
   }
 
   auto topo = topological_sort(g);

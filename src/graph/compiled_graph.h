@@ -5,7 +5,8 @@
 // over and over. CompiledGraph is built once at the top of a schedule()
 // call and packages:
 //   * CSR (compressed sparse row) in/out adjacency — contiguous edge-id
-//     arrays, cache-friendly for the evaluator inner loops,
+//     arrays with each edge's other endpoint beside them, cache-friendly
+//     for the evaluator inner loops,
 //   * the topological order, priority indicators p(v), the descending
 //     priority order, and each node's rank (position) in it.
 // The view borrows the Graph: the Graph must outlive the CompiledGraph and
@@ -42,6 +43,16 @@ class CompiledGraph {
             out_csr_.data() + out_head_[static_cast<std::size_t>(v) + 1]};
   }
 
+  /// Unchecked CSR slots for inner loops. v's in-edges occupy the slots
+  /// [in_slot(v), in_slot(v + 1)), in the order of in_edges(v), and slot k
+  /// holds an edge whose producer is in_src()[k]; symmetrically, out-slot k
+  /// of out_slot(v)'s range leads to out_dst()[k]. Callers may keep
+  /// per-slot arrays (e.g. transfer times) beside these.
+  std::size_t in_slot(std::size_t v) const { return static_cast<std::size_t>(in_head_[v]); }
+  std::size_t out_slot(std::size_t v) const { return static_cast<std::size_t>(out_head_[v]); }
+  const NodeId* in_src() const { return in_src_.data(); }
+  const NodeId* out_dst() const { return out_dst_.data(); }
+
   /// Kahn topological order (deterministic: ascending id tie-break).
   const std::vector<NodeId>& topo_order() const { return topo_; }
 
@@ -66,6 +77,7 @@ class CompiledGraph {
   std::size_t n_;
   std::vector<int32_t> in_head_, out_head_;  // size n + 1
   std::vector<EdgeId> in_csr_, out_csr_;
+  std::vector<NodeId> in_src_, out_dst_;     // beside in_csr_ / out_csr_
   std::vector<NodeId> topo_, order_;
   std::vector<double> priority_;
   std::vector<int> rank_;

@@ -15,10 +15,12 @@
 // topological order in O(V + E) per extraction (same result; see DESIGN.md).
 // HIOS-LP extracts paths until every vertex is scheduled, and one path only
 // changes its own neighbourhood, so ValidPathFinder keeps the DP between
-// extractions and reruns it only from the earliest topological position
-// the last path touched (DESIGN.md §6d).
+// extractions and recomputes it by change propagation: only the positions
+// the last path touched, and the successors of each position whose DP value
+// changed (DESIGN.md §6d).
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -35,15 +37,18 @@ struct ValidPath {
 
 /// Extracts longest valid paths one after another, marking each one
 /// scheduled. next() returns exactly what longest_valid_path would return
-/// for the current mask. The DP arrays, boundary bonuses and a per-position
-/// prefix best persist across calls, indexed by topological position. A
-/// taken path updates only its neighbours (O(deg P)), and the DP reruns
-/// over the unscheduled positions from the earliest one touched. Nothing
-/// before that position can change, since the DP at a position reads only
-/// its predecessors.
+/// for the current mask. The DP arrays and boundary bonuses persist across
+/// calls, indexed by topological position, and a tournament tree over the
+/// positions holds the best chain ending. A taken path updates only its
+/// neighbours (O(deg P)) and queues them in a position bitmap; next() pops
+/// that bitmap in topological order, recomputes each popped position, and
+/// queues a position's unscheduled successors only when its DP value changed
+/// bit-wise. The DP at a position reads only its own flags, bonuses and
+/// weight and its predecessors' values, so every other position keeps the
+/// value a from-scratch pass would give it.
 class ValidPathFinder {
  public:
-  /// `g` and `topo_order` (a topological order of g) must outlive *this.
+  /// `topo_order` (a topological order of g) must outlive *this.
   /// `scheduled` marks the vertices mapped before the first next().
   ValidPathFinder(const Graph& g, const std::vector<NodeId>& topo_order,
                   const DynBitset& scheduled);
@@ -57,21 +62,35 @@ class ValidPathFinder {
   std::size_t positions_visited() const { return positions_visited_; }
 
  private:
-  void run_dp();
-  void take(const std::vector<NodeId>& path);
-
   /// In-edge of a position: the producer's position and id, and the edge weight.
   struct InArc {
-    std::size_t src_pos;
+    uint32_t src_pos;
     NodeId src;
     double weight;
   };
+  /// Out-edge of a position: the consumer's position and the edge weight.
+  struct OutArc {
+    uint32_t dst_pos;
+    double weight;
+  };
+  /// A tournament-tree entry: a chain ending's length with its tail bonus,
+  /// and the ending vertex (kInvalidNode in an empty slot).
+  struct Best {
+    double len;
+    NodeId end;
+  };
+  static constexpr Best kNoChain{-std::numeric_limits<double>::infinity(), kInvalidNode};
 
-  const Graph& g_;
+  void push(std::size_t i);      ///< queues position i for recomputation
+  void drain();                  ///< recomputes the queued positions in order
+  void recompute(std::size_t i);
+  void set_leaf(std::size_t i, Best b);
+  const Best& match(std::size_t k) const;  ///< the better child of tree node k
+  void take(const std::vector<NodeId>& path);
+
   const std::vector<NodeId>& topo_;
   std::size_t n_;
   std::vector<std::size_t> pos_;   ///< node -> topological position
-  DynBitset scheduled_;            ///< by node
   DynBitset open_;                 ///< unscheduled topological positions
   std::size_t remaining_ = 0;      ///< unscheduled vertices
   // Everything below is indexed by topological position. dirty: the vertex
@@ -82,13 +101,19 @@ class ValidPathFinder {
   std::vector<double> weight_;          ///< node weight
   std::vector<std::size_t> in_head_;    ///< first entry in in_ (size n + 1)
   std::vector<InArc> in_;               ///< in-edges in Graph order
-  std::vector<double> ext_;             ///< DP value (see run_dp); < 0 when scheduled
+  std::vector<std::size_t> out_head_;   ///< first entry in out_ (size n + 1)
+  std::vector<OutArc> out_;             ///< out-edges in Graph order
+  std::vector<double> ext_;             ///< DP value (see recompute); < 0 when scheduled
   std::vector<NodeId> parent_;          ///< predecessor in the best chain ending here
-  // Best chain ending (length with tail bonus, then smallest id) over the
-  // unscheduled positions <= i; valid at unscheduled positions.
-  std::vector<double> best_len_;
-  std::vector<NodeId> best_end_;
-  std::size_t redo_from_ = 0;       ///< earliest position whose DP is stale
+  std::vector<uint64_t> queue_;         ///< positions to recompute, a bitmap
+  std::size_t queue_lo_ = 0, queue_hi_ = 0;  ///< queue_ words that may be non-zero
+  // Tournament tree: leaf leaves_ + i holds position i's chain ending (full
+  // DP value plus tail bonus; empty when scheduled), and node k the better
+  // of nodes 2k and 2k + 1, so node 1 is the best chain. The first next()
+  // fills the leaves, then builds the inner nodes bottom-up (built_).
+  std::size_t leaves_ = 1;
+  std::vector<Best> tree_;
+  bool built_ = false;
   std::size_t positions_visited_ = 0;
 };
 

@@ -16,13 +16,21 @@ ListScheduleState::ListScheduleState(const graph::CompiledGraph& cg, int num_gpu
   gpu_.assign(n_, -1);
   mapped_ = DynBitset(n_);
   on_gpu_.assign(m_, DynBitset(n_));
+  // The walk's cost-model inputs, hoisted: t(v) by rank, each GPU's speed
+  // and each in-edge's base weight. node_time and transfer_time are these
+  // operands through the same arithmetic.
   in_head_.reserve(n_ + 1);
   in_.reserve(cg_.num_edges());
+  node_weight_.resize(n_);
   for (std::size_t r = 0; r < n_; ++r) {
     in_head_.push_back(in_.size());
-    for (graph::EdgeId e : cg_.in_edges(order[r])) in_.push_back({rank(g.edge(e).src), e});
+    const graph::NodeId v = order[r];
+    node_weight_[r] = g.node_weight(v);
+    for (graph::EdgeId e : cg_.in_edges(v)) in_.push_back({rank(g.edge(e).src), g.edge(e).weight});
   }
   in_head_.push_back(in_.size());
+  speed_.resize(m_);
+  for (std::size_t q = 0; q < m_; ++q) speed_[q] = cost.speed(static_cast<int>(q));
   start_.assign(n_ * m_, -1.0);
   finish_.assign(n_ * m_, -1.0);
   lane_buf_.assign(m_ * m_ + 2 * m_, 0.0);
@@ -31,7 +39,7 @@ ListScheduleState::ListScheduleState(const graph::CompiledGraph& cg, int num_gpu
 
 void ListScheduleState::set_gpu(graph::NodeId v, int gpu) {
   HIOS_CHECK(v >= 0 && static_cast<std::size_t>(v) < n_, "set_gpu: bad node " << v);
-  HIOS_CHECK(gpu < static_cast<int>(m_),
+  HIOS_CHECK(gpu >= -1 && gpu < static_cast<int>(m_),
              "set_gpu: mapping[" << v << "] = " << gpu << " out of range");
   if (mapping_[static_cast<std::size_t>(v)] == gpu) return;
   const std::size_t r = rank(v);
@@ -113,8 +121,6 @@ Schedule ListScheduleState::schedule() const {
 template <int kLanes>
 void ListScheduleState::walk(std::size_t from) {
   const std::size_t L = kLanes > 0 ? static_cast<std::size_t>(kLanes) : m_;
-  const graph::Graph& g = cg_.graph();
-  const auto& order = cg_.priority_order();
   const std::size_t m = m_;
   const std::size_t n = n_;
   // Lane state: per-GPU tails GPU-major (GPU q of lane k at q * L + k), the
@@ -172,19 +178,19 @@ void ListScheduleState::walk(std::size_t from) {
           for (std::size_t k = 0; k < L; ++k) {
             const int a = src_gpu == kOnPath ? static_cast<int>(k) : src_gpu;
             const auto b = static_cast<int>(lane_gpu(k));
-            t[k] = std::max(t[k],
-                            src_fin[k & lane_mask] + cost_.transfer_time(g, in.edge, a, b));
+            t[k] = std::max(t[k], src_fin[k & lane_mask] + cost_.transfer_time(in.weight, a, b));
           }
         } else {
-          const double transfer = cost_.transfer_time(g, in.edge, src_gpu, gpu);
+          const double transfer = cost_.transfer_time(in.weight, src_gpu, gpu);
           for (std::size_t k = 0; k < L; ++k)
             t[k] = std::max(t[k], src_fin[k & lane_mask] + transfer);
         }
       }
-      const double node = on_path ? 0.0 : cost_.node_time(g, order[r], gpu);
+      // node_time's t(v) / speed, over the hoisted operands.
+      const double weight = node_weight_[r];
+      const double node = on_path ? 0.0 : weight / speed_[static_cast<std::size_t>(gpu)];
       for (std::size_t k = 0; k < L; ++k) {
-        const double f =
-            t[k] + (on_path ? cost_.node_time(g, order[r], static_cast<int>(k)) : node);
+        const double f = t[k] + (on_path ? weight / speed_[k] : node);
         start[r * m + k] = t[k];
         fin[r * m + k] = f;
         cur[lane_gpu(k) * L + k] = f;

@@ -41,8 +41,9 @@ class ListScheduleState {
   ListScheduleState(const graph::CompiledGraph& cg, int num_gpus,
                     const cost::CostModel& cost);
 
-  /// Assigns `v` to `gpu` (-1 unmaps). O(1): marks the suffix from v's
-  /// priority rank dirty, unless v is already on `gpu`.
+  /// Assigns `v` to `gpu` (-1 unmaps; any other gpu outside [0, m) throws).
+  /// O(1): marks the suffix from v's priority rank dirty, unless v is
+  /// already on `gpu`.
   void set_gpu(graph::NodeId v, int gpu);
 
   /// Latency of the list schedule of all currently mapped nodes.
@@ -92,10 +93,11 @@ class ListScheduleState {
   /// Each lane's latency after the last walk.
   const double* lane_latency() const { return lane_buf_.data() + m_ * m_; }
 
-  /// In-edge of a rank: the producer's rank and the edge id (for transfer_time).
+  /// In-edge of a rank: the producer's rank and the edge's base weight
+  /// (for transfer_time).
   struct InEdge {
     std::size_t src_rank;
-    graph::EdgeId edge;
+    double weight;
   };
 
   const graph::CompiledGraph& cg_;
@@ -109,6 +111,8 @@ class ListScheduleState {
   std::vector<DynBitset> on_gpu_;     ///< per GPU: its mapped ranks
   std::vector<std::size_t> in_head_;  ///< rank -> first entry in in_ (size n + 1)
   std::vector<InEdge> in_;            ///< in-edges by consumer rank, Graph order
+  std::vector<double> node_weight_;   ///< rank -> t(v)
+  std::vector<double> speed_;         ///< gpu -> cost model's speed factor
   /// n x m start/finish times, rank-major: lane k of rank r at r * m + k.
   /// Lane 0 is the committed state, and a walk reads the inputs it did not
   /// re-time from there.

@@ -20,11 +20,12 @@ void ScheduleState::for_each_successor(int sid, F&& f) const {
 
 template <typename F>
 void ScheduleState::for_each_data_successor(int sid, F&& f) const {
-  const graph::Graph& g = cg_.graph();
+  const graph::NodeId* const dst = cg_.out_dst();
   for (graph::NodeId v : ops_[static_cast<std::size_t>(sid)]) {
-    for (graph::EdgeId e : cg_.out_edges(v)) {
-      const int sv = node_stage_[static_cast<std::size_t>(g.edge(e).dst)];
-      if (sv >= 0 && sv != sid) f(sv, edge_transfer_[static_cast<std::size_t>(e)]);
+    const auto u = static_cast<std::size_t>(v);
+    for (std::size_t k = cg_.out_slot(u); k < cg_.out_slot(u + 1); ++k) {
+      const int sv = node_stage_[static_cast<std::size_t>(dst[k])];
+      if (sv >= 0 && sv != sid) f(sv, out_transfer_[k]);
     }
   }
 }
@@ -85,14 +86,23 @@ void ScheduleState::load(const Schedule& schedule) {
     stage_time_[sid] = cost_.stage_time_on(
         g, std::span<const graph::NodeId>(ops_[sid]), stage_gpu_[sid]);
   }
-  edge_transfer_.assign(g.num_edges(), 0.0);
-  for (graph::EdgeId e = 0; e < static_cast<graph::EdgeId>(g.num_edges()); ++e) {
+  // Each edge's transfer sits at its in-slot and at its out-slot.
+  const auto gpu_of = [&](graph::NodeId v) {
+    const int sid = node_stage_[static_cast<std::size_t>(v)];
+    return sid < 0 ? -1 : stage_gpu_[static_cast<std::size_t>(sid)];
+  };
+  const auto transfer = [&](graph::EdgeId e) {
     const graph::Edge& edge = g.edge(e);
-    const int su = node_stage_[static_cast<std::size_t>(edge.src)];
-    const int sv = node_stage_[static_cast<std::size_t>(edge.dst)];
-    if (su < 0 || sv < 0) continue;
-    edge_transfer_[static_cast<std::size_t>(e)] = cost_.transfer_time(
-        g, e, stage_gpu_[static_cast<std::size_t>(su)], stage_gpu_[static_cast<std::size_t>(sv)]);
+    const int a = gpu_of(edge.src), b = gpu_of(edge.dst);
+    return a < 0 || b < 0 ? 0.0 : cost_.transfer_time(edge.weight, a, b);
+  };
+  in_transfer_.resize(g.num_edges());
+  out_transfer_.resize(g.num_edges());
+  for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(n); ++v) {
+    std::size_t k = cg_.in_slot(static_cast<std::size_t>(v));
+    for (graph::EdgeId e : cg_.in_edges(v)) in_transfer_[k++] = transfer(e);
+    k = cg_.out_slot(static_cast<std::size_t>(v));
+    for (graph::EdgeId e : cg_.out_edges(v)) out_transfer_[k++] = transfer(e);
   }
 
   seen_.assign(cap, 0);
@@ -288,7 +298,7 @@ bool ScheduleState::run_eval() {
 double ScheduleState::retime(int sid) const {
   // run_eval's recurrence over the same operands: max over the chain
   // predecessor and every data input, then one add.
-  const graph::Graph& g = cg_.graph();
+  const graph::NodeId* const src = cg_.in_src();
   const std::size_t s = static_cast<std::size_t>(sid);
   double ready = 0.0;
   if (pos_of_[s] > 0) {
@@ -296,10 +306,10 @@ double ScheduleState::retime(int sid) const {
     ready = current_finish(list[static_cast<std::size_t>(pos_of_[s] - 1)]);
   }
   for (graph::NodeId v : ops_[s]) {
-    for (graph::EdgeId e : cg_.in_edges(v)) {
-      const int su = node_stage_[static_cast<std::size_t>(g.edge(e).src)];
-      if (su >= 0 && su != sid)
-        ready = std::max(ready, current_finish(su) + edge_transfer_[static_cast<std::size_t>(e)]);
+    const auto u = static_cast<std::size_t>(v);
+    for (std::size_t k = cg_.in_slot(u); k < cg_.in_slot(u + 1); ++k) {
+      const int su = node_stage_[static_cast<std::size_t>(src[k])];
+      if (su >= 0 && su != sid) ready = std::max(ready, current_finish(su) + in_transfer_[k]);
     }
   }
   return ready + stage_time_[static_cast<std::size_t>(sid)];

@@ -177,9 +177,11 @@ class ScheduleState {
 
   // Hoisted cost-model queries. GPU assignments never change between
   // load() and extract() (merges stay on their GPU), so each edge's
-  // transfer time is a per-load constant; each stage's t(S) only changes
-  // when it absorbs a merge window, maintained by apply/undo.
-  std::vector<double> edge_transfer_;            ///< edge id -> transfer (0 when endpoint absent)
+  // transfer time is a per-load constant, kept beside the CompiledGraph's
+  // CSR slots so that an edge visit reads the other endpoint and the
+  // transfer side by side; each stage's t(S) only changes when it absorbs
+  // a merge window, maintained by apply/undo.
+  std::vector<double> in_transfer_, out_transfer_;  ///< by CSR slot (0 when endpoint absent)
   std::vector<double> stage_time_;               ///< stable id -> t(S) on its GPU
 
   // Evaluation scratch, sized at load(); reused allocation-free.

@@ -13,8 +13,8 @@ namespace hios::sched {
 LongestPathMapping longest_path_mapping(const graph::CompiledGraph& cg, int num_gpus,
                                         const cost::CostModel& cost) {
   // Incremental path extraction and objective: each path only touches its
-  // neighbourhood, so the path DP reruns from the earliest touched
-  // topological position, and one walk from the path's earliest priority
+  // neighbourhood, so the path DP recomputes only the positions the path
+  // changed, and one walk from the path's earliest priority
   // rank tries the path on every GPU and commits the one minimising the
   // latency of the list schedule over all mapped operators (Alg. 1 lines
   // 5-16; lowest GPU on ties).

@@ -101,7 +101,8 @@ TEST(ListSchedule, InputValidation) {
   const graph::CompiledGraph cg(g);
   EXPECT_THROW(ListScheduleState(cg, 0, kCost), Error);  // gpus
   ListScheduleState state(cg, 2, kCost);
-  EXPECT_THROW(state.set_gpu(1, 5), Error);  // gpu range
+  EXPECT_THROW(state.set_gpu(1, 5), Error);   // gpu range
+  EXPECT_THROW(state.set_gpu(0, -2), Error);  // below -1 (unmapped)
   EXPECT_THROW(state.set_gpu(2, 0), Error);  // node range
   const std::vector<graph::NodeId> bad_path{0, 2};
   EXPECT_THROW(state.place_path(bad_path), Error);  // node range, state untouched

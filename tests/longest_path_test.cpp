@@ -4,11 +4,13 @@
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <string>
 
 #include "graph/algorithms.h"
 #include "graph/longest_path.h"
 #include "models/examples.h"
 #include "models/random_dag.h"
+#include "oracles/oracles.h"
 
 namespace hios::graph {
 namespace {
@@ -163,11 +165,38 @@ TEST(LongestValidPath, MaskSizeMismatchThrows) {
   EXPECT_THROW(longest_valid_path(g, DynBitset(2)), Error);
 }
 
+/// Extracts every path with one finder, checking each against the oracle's
+/// from-scratch DP on the same mask, path and length bits. Returns the
+/// number of extractions.
+std::size_t expect_finder_matches_oracle(const Graph& g, DynBitset scheduled,
+                                         const std::string& label) {
+  const auto topo = topological_sort(g);
+  EXPECT_TRUE(topo.has_value()) << label;
+  if (!topo) return 0;
+  ValidPathFinder finder(g, *topo, scheduled);
+  std::size_t extractions = 0;
+  while (true) {
+    const auto want = oracle::longest_valid_path(g, scheduled, *topo);
+    const auto got = finder.next();
+    EXPECT_EQ(want.has_value(), got.has_value()) << label;
+    if (!want || !got) break;
+    ++extractions;
+    EXPECT_EQ(want->nodes, got->nodes) << label << " extraction " << extractions;
+    EXPECT_EQ(std::bit_cast<uint64_t>(want->length), std::bit_cast<uint64_t>(got->length))
+        << label << " extraction " << extractions;
+    if (want->nodes != got->nodes) break;
+    for (NodeId v : want->nodes) scheduled.set(static_cast<std::size_t>(v));
+  }
+  EXPECT_EQ(scheduled.count(), g.num_nodes()) << label;
+  return extractions;
+}
+
 TEST(LongestValidPath, FinderMatchesOneShotOnEveryExtraction) {
-  // The finder keeps its DP across extractions; the one-shot function runs
-  // it from scratch on the same mask. Half the DAGs get small integer
-  // weights, so equal lengths and equal chain candidates are common and the
-  // tie-breaks are exercised; half start from a random pre-scheduled mask.
+  // The finder keeps its DP across extractions and recomputes only what a
+  // taken path changes; the oracle runs the whole DP from scratch on the
+  // same mask. Half the DAGs get small integer weights, so equal lengths
+  // and equal chain candidates are common and the tie-breaks are exercised;
+  // half start from a random pre-scheduled mask.
   std::mt19937_64 rng(0xF1ED);
   std::size_t extractions = 0;
   for (int iter = 0; iter < 200; ++iter) {
@@ -188,24 +217,29 @@ TEST(LongestValidPath, FinderMatchesOneShotOnEveryExtraction) {
     if (iter % 4 < 2)
       for (std::size_t v = 0; v < n; ++v)
         if (rng() % 4 == 0) scheduled.set(v);
-    const auto topo = topological_sort(g);
-    ASSERT_TRUE(topo.has_value());
-
-    ValidPathFinder finder(g, *topo, scheduled);
-    while (true) {
-      const auto want = longest_valid_path(g, scheduled, *topo);
-      const auto got = finder.next();
-      ASSERT_EQ(want.has_value(), got.has_value()) << "dag " << iter;
-      if (!want) break;
-      ++extractions;
-      ASSERT_EQ(want->nodes, got->nodes) << "dag " << iter << " extraction " << extractions;
-      ASSERT_EQ(std::bit_cast<uint64_t>(want->length), std::bit_cast<uint64_t>(got->length))
-          << "dag " << iter;
-      for (NodeId v : want->nodes) scheduled.set(static_cast<std::size_t>(v));
-    }
-    EXPECT_EQ(scheduled.count(), n);
+    extractions += expect_finder_matches_oracle(g, scheduled, "dag " + std::to_string(iter));
   }
   EXPECT_GT(extractions, 2000u);
+
+  // Fig. 14's DAG shape (22 layers per 512 ops, 2 dependencies per op) at
+  // 256-4096 ops, where a taken path's changes stay local and most
+  // positions are never recomputed; each size once from an empty mask and
+  // once with ~1/8 of the vertices pre-scheduled.
+  std::size_t large = 0;
+  for (int ops : {256, 512, 1024, 2048, 4096}) {
+    models::RandomDagParams p;
+    p.num_ops = ops;
+    p.num_layers = 22 * ops / 512;
+    p.num_deps = 2 * ops;
+    p.seed = 7 + static_cast<uint64_t>(ops);
+    const Graph g = models::random_dag(p);
+    DynBitset scheduled(g.num_nodes());
+    large += expect_finder_matches_oracle(g, scheduled, std::to_string(ops) + " ops");
+    for (std::size_t v = 0; v < g.num_nodes(); ++v)
+      if (rng() % 8 == 0) scheduled.set(v);
+    large += expect_finder_matches_oracle(g, scheduled, std::to_string(ops) + " ops, masked");
+  }
+  EXPECT_GT(large, 5000u);
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 //     freshly flattened, deduplicated stage DAG;
 //   * list_schedule: the priority-order list scheduler of Alg. 1, one full
 //     pass per call;
+//   * longest_valid_path: Alg. 1's path DP over every unscheduled position,
+//     from scratch per call (graph::ValidPathFinder recomputes only what a
+//     taken path changes);
 //   * simulate_ops / simulate_pipeline: the simulators with their own stage
 //     flattening and Kahn passes;
 //   * model_hashes: ops::Model's two structural hashes, walked from scratch
@@ -29,6 +32,7 @@
 #include "cost/cost_model.h"
 #include "fault/fault_plan.h"
 #include "graph/graph.h"
+#include "graph/longest_path.h"
 #include "ops/model.h"
 #include "sched/evaluate.h"
 #include "sched/schedule.h"
@@ -67,6 +71,13 @@ struct ListScheduleResult {
 ListScheduleResult list_schedule(const graph::Graph& g, const std::vector<int>& mapping,
                                  const std::vector<graph::NodeId>& order, int num_gpus,
                                  const cost::CostModel& cost);
+
+/// The longest valid path among the vertices `scheduled` leaves open, as
+/// graph::longest_valid_path defines it, by one DP pass over `topo` (a
+/// topological order of g); nullopt when every vertex is scheduled.
+std::optional<graph::ValidPath> longest_valid_path(const graph::Graph& g,
+                                                   const DynBitset& scheduled,
+                                                   const std::vector<graph::NodeId>& topo);
 
 /// Op-accurate (relaxed-start) timeline, as sim::simulate_ops defines it.
 /// Returns nullopt on deadlock.
