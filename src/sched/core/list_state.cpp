@@ -31,7 +31,6 @@ ListScheduleState::ListScheduleState(const graph::CompiledGraph& cg, int num_gpu
   in_head_.push_back(in_.size());
   speed_.resize(m_);
   for (std::size_t q = 0; q < m_; ++q) speed_[q] = cost.speed(static_cast<int>(q));
-  start_.assign(n_ * m_, -1.0);
   finish_.assign(n_ * m_, -1.0);
   lane_buf_.assign(m_ * m_ + 2 * m_, 0.0);
   dirty_from_ = n_;  // empty mapping: latency 0, nothing to recompute
@@ -48,7 +47,7 @@ void ListScheduleState::set_gpu(graph::NodeId v, int gpu) {
   gpu_[r] = gpu;
   mapped_.set(r, gpu >= 0);
   if (gpu >= 0) on_gpu_[static_cast<std::size_t>(gpu)].set(r);
-  if (gpu < 0) start_[r * m_] = finish_[r * m_] = -1.0;
+  if (gpu < 0) finish_[r * m_] = -1.0;
   dirty_from_ = std::min(dirty_from_, r);
 }
 
@@ -93,14 +92,10 @@ ListScheduleState::Placement ListScheduleState::place_path(
     if (lat[k] < lat[best]) best = k;
   latency_ = lat[best];
   dirty_from_ = n_;
-  // Commit: the winning lane's times become lane 0's, and the path moves
-  // onto its GPU. Lane 0 needs no copy.
-  if (best != 0) {
-    mapped_.for_each_from(from, [&](std::size_t r) {
-      start_[r * m_] = start_[r * m_ + best];
-      finish_[r * m_] = finish_[r * m_ + best];
-    });
-  }
+  // Commit: the winning lane's finishes become lane 0's, and the path
+  // moves onto its GPU. Lane 0 needs no copy.
+  if (best != 0)
+    mapped_.for_each_from(from, [&](std::size_t r) { finish_[r * m_] = finish_[r * m_ + best]; });
   const auto gpu = static_cast<int>(best);
   for (graph::NodeId v : path) {
     const std::size_t r = rank(v);
@@ -109,6 +104,23 @@ ListScheduleState::Placement ListScheduleState::place_path(
     on_gpu_[best].set(r);
   }
   return {gpu, latency_};
+}
+
+double ListScheduleState::start(graph::NodeId v) const {
+  const std::size_t r = rank(v);
+  const int gpu = gpu_[r];
+  if (gpu < 0) return -1.0;
+  // The walk's recurrence for rank r on its GPU: the GPU's tail before r,
+  // then each mapped producer's finish plus its transfer.
+  const std::size_t p = on_gpu_[static_cast<std::size_t>(gpu)].find_prev(r);
+  double t = p < n_ ? finish_[p * m_] : 0.0;
+  for (std::size_t i = in_head_[r]; i < in_head_[r + 1]; ++i) {
+    const int src_gpu = gpu_[in_[i].src_rank];
+    if (src_gpu == -1) continue;
+    t = std::max(t, finish_[in_[i].src_rank * m_] +
+                        cost_.transfer_time(in_[i].weight, src_gpu, gpu));
+  }
+  return t;
 }
 
 Schedule ListScheduleState::schedule() const {
@@ -123,32 +135,23 @@ void ListScheduleState::walk(std::size_t from) {
   const std::size_t L = kLanes > 0 ? static_cast<std::size_t>(kLanes) : m_;
   const std::size_t m = m_;
   const std::size_t n = n_;
-  // Lane state: per-GPU tails GPU-major (GPU q of lane k at q * L + k), the
-  // running latency and the start time being built, one per lane. Locals
-  // when the lane count is fixed, so stores to the time arrays cannot
-  // alias them; one lane keeps its m tails in lane_buf_.
+  // Lane state: per-GPU tails GPU-major (GPU q of lane k at q * L + k) and
+  // the start time being built, one per lane. Locals when the lane count is
+  // fixed, so stores to the time arrays cannot alias them; one lane keeps
+  // its m tails in lane_buf_.
   std::array<double, (kLanes > 1 ? kLanes * kLanes : 1)> cur_fixed{};
-  std::array<double, (kLanes > 0 ? kLanes : 1)> lat_fixed{}, t_fixed{};
+  std::array<double, (kLanes > 0 ? kLanes : 1)> t_fixed{};
   double* const lane_lat = lane_buf_.data() + m * m;
   double* const cur = kLanes > 1 ? cur_fixed.data() : lane_buf_.data();
-  double* const lat = kLanes > 0 ? lat_fixed.data() : lane_lat;
   double* const t = kLanes > 0 ? t_fixed.data() : lane_lat + L;
-  double* const start = start_.data();
   double* const fin = finish_.data();
 
   // Prefix state at `from`, the same in every lane: GPU q's tail is the
-  // finish of its last mapped rank before `from` (0 when there is none),
-  // and the running latency is the largest tail. Finishes on one GPU never
-  // decrease (each starts at or after its GPU's tail, and t(v) >= 0), so
-  // that is exactly the running maximum the pass holds at `from`.
-  double prefix_lat = 0.0;
+  // finish of its last mapped rank before `from` (0 when there is none).
   for (std::size_t q = 0; q < m; ++q) {
     const std::size_t p = on_gpu_[q].find_prev(from);
-    const double tail = p < n ? fin[p * m] : 0.0;
-    std::fill_n(cur + q * L, L, tail);
-    prefix_lat = std::max(prefix_lat, tail);
+    std::fill_n(cur + q * L, L, p < n ? fin[p * m] : 0.0);
   }
-  std::fill_n(lat, L, prefix_lat);
 
   ++walks_;
   // The mapped ranks from `from` on, word by word: the body is too large
@@ -191,14 +194,19 @@ void ListScheduleState::walk(std::size_t from) {
       const double node = on_path ? 0.0 : weight / speed_[static_cast<std::size_t>(gpu)];
       for (std::size_t k = 0; k < L; ++k) {
         const double f = t[k] + (on_path ? weight / speed_[k] : node);
-        start[r * m + k] = t[k];
         fin[r * m + k] = f;
         cur[lane_gpu(k) * L + k] = f;
-        lat[k] = std::max(lat[k], f);
       }
     }
   }
-  if constexpr (kLanes > 0) std::copy_n(lat, L, lane_lat);
+  // Each finish starts at or after its GPU's tail and t(v) >= 0, so a GPU's
+  // finishes never decrease: the largest tail is the running maximum of
+  // every finish the pass produced, the lane's latency.
+  for (std::size_t k = 0; k < L; ++k) {
+    double lat = 0.0;
+    for (std::size_t q = 0; q < m; ++q) lat = std::max(lat, cur[q * L + k]);
+    lane_lat[k] = lat;
+  }
 }
 
 }  // namespace hios::sched

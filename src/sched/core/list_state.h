@@ -5,13 +5,13 @@
 // fresh Schedule) for every candidate GPU of every path. The pass is a
 // strict left-to-right recurrence over the fixed priority order, so when
 // only the mapping of some nodes changes, everything before the earliest
-// changed position is unchanged. ListScheduleState keeps every start and
-// finish by priority rank, and on query it walks only the mapped ranks from
-// the earliest dirty one (through a rank-indexed bitmap). The walk's prefix
+// changed position is unchanged. ListScheduleState keeps every finish by
+// priority rank, and on query it walks only the mapped ranks from the
+// earliest dirty one (through a rank-indexed bitmap). The walk's prefix
 // state needs no checkpoint: each GPU's tail is the finish of its last
-// mapped rank before the dirty one (a per-GPU rank bitmap finds it), and
-// the running latency is the largest tail. Unmapped ranks never change the
-// recurrence.
+// mapped rank before the dirty one (a per-GPU rank bitmap finds it).
+// Finishes on one GPU never decrease, so the latency is the largest tail at
+// the end of the walk. Unmapped ranks never change the recurrence.
 //
 // place_path() scores one path on every GPU in a single walk: the walk
 // carries m lanes, lane k holding the path on GPU k, so each rank off the
@@ -65,8 +65,10 @@ class ListScheduleState {
   const std::vector<int>& mapping() const { return mapping_; }
 
   /// Start/finish of a mapped node under the current mapping (-1 when
-  /// unmapped). Valid after latency() or place_path().
-  double start(graph::NodeId v) const { return start_[rank(v) * m_]; }
+  /// unmapped). Valid after latency() or place_path(), until the next
+  /// set_gpu(). The start is not stored: start() recomputes it from the
+  /// finishes with the walk's own recurrence, bit-equal to the pass.
+  double start(graph::NodeId v) const;
   double finish(graph::NodeId v) const { return finish_[rank(v) * m_]; }
 
   /// The list schedule of the current mapping as singleton stages in
@@ -113,10 +115,10 @@ class ListScheduleState {
   std::vector<InEdge> in_;            ///< in-edges by consumer rank, Graph order
   std::vector<double> node_weight_;   ///< rank -> t(v)
   std::vector<double> speed_;         ///< gpu -> cost model's speed factor
-  /// n x m start/finish times, rank-major: lane k of rank r at r * m + k.
-  /// Lane 0 is the committed state, and a walk reads the inputs it did not
-  /// re-time from there.
-  std::vector<double> start_, finish_;
+  /// n x m finish times, rank-major: lane k of rank r at r * m + k. Lane 0
+  /// is the committed state, and a walk reads the inputs it did not re-time
+  /// from there.
+  std::vector<double> finish_;
   std::vector<double> lane_buf_;      ///< walk lanes: m x m tails, m latencies, m starts
   double latency_ = 0.0;
   std::size_t dirty_from_ = 0;        ///< first priority rank needing recompute

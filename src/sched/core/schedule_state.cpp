@@ -72,7 +72,6 @@ void ScheduleState::load(const Schedule& schedule) {
 
   const std::size_t cap = ops_.size();
   ready_.assign(cap, 0.0);
-  start_.assign(cap, 0.0);
   finish_.assign(cap, 0.0);
   in_deg_.assign(cap, 0);
   mark_.assign(cap, 0);
@@ -180,11 +179,11 @@ void ScheduleState::apply_merge(int gpu, int pos, int extent) {
   p.rep = list[static_cast<std::size_t>(pos)];
   p.rep_ops_before = ops_[static_cast<std::size_t>(p.rep)].size();
   p.rep_time_before = stage_time_[static_cast<std::size_t>(p.rep)];
-  p.removed.reserve(static_cast<std::size_t>(extent));
-  for (int k = 1; k <= extent; ++k) p.removed.push_back(list[static_cast<std::size_t>(pos + k)]);
+  removed_.clear();
+  for (int k = 1; k <= extent; ++k) removed_.push_back(list[static_cast<std::size_t>(pos + k)]);
 
   auto& rep_ops = ops_[static_cast<std::size_t>(p.rep)];
-  for (int sid : p.removed) {
+  for (int sid : removed_) {
     for (graph::NodeId v : ops_[static_cast<std::size_t>(sid)]) {
       node_stage_[static_cast<std::size_t>(v)] = p.rep;
       rep_ops.push_back(v);
@@ -195,10 +194,10 @@ void ScheduleState::apply_merge(int gpu, int pos, int extent) {
   list.erase(list.begin() + pos + 1, list.begin() + pos + 1 + extent);
   for (std::size_t i = static_cast<std::size_t>(pos) + 1; i < list.size(); ++i)
     pos_of_[static_cast<std::size_t>(list[i])] = static_cast<int>(i);
-  alive_count_ -= p.removed.size();
+  alive_count_ -= removed_.size();
   stage_time_[static_cast<std::size_t>(p.rep)] = cost_.stage_time_on(
       cg_.graph(), std::span<const graph::NodeId>(rep_ops), gpu);
-  pending_ = std::move(p);
+  pending_ = p;
 }
 
 void ScheduleState::undo_merge() {
@@ -207,36 +206,38 @@ void ScheduleState::undo_merge() {
   ops_[static_cast<std::size_t>(p.rep)].resize(p.rep_ops_before);
   stage_time_[static_cast<std::size_t>(p.rep)] = p.rep_time_before;
   auto& list = gpu_list_[static_cast<std::size_t>(p.gpu)];
-  list.insert(list.begin() + p.pos + 1, p.removed.begin(), p.removed.end());
-  for (int sid : p.removed) {
+  list.insert(list.begin() + p.pos + 1, removed_.begin(), removed_.end());
+  for (int sid : removed_) {
     alive_[static_cast<std::size_t>(sid)] = 1;
     for (graph::NodeId v : ops_[static_cast<std::size_t>(sid)])
       node_stage_[static_cast<std::size_t>(v)] = sid;
   }
   for (std::size_t i = static_cast<std::size_t>(p.pos) + 1; i < list.size(); ++i)
     pos_of_[static_cast<std::size_t>(list[i])] = static_cast<int>(i);
-  alive_count_ += p.removed.size();
+  alive_count_ += removed_.size();
   pending_.reset();
 }
 
 void ScheduleState::commit_merge() {
   HIOS_CHECK(pending_.has_value(), "commit_merge: no pending merge");
   if (committed_) {
-    // Carry the committed timing over: reuse the propagation improves_on()
-    // just completed for this merge, else run it without a bound.
+    // Carry the committed timing over: reuse the entries of the propagation
+    // improves_on() just completed for this merge, else run it without a
+    // bound.
     std::optional<double> latency = scored_.latency;
-    if (scored_.rep != pending_->rep || scored_.extent != pending_->removed.size() ||
-        scored_.gen != mark_gen_) {
+    if (scored_.rep != pending_->rep || scored_.extent != removed_.size())
       latency = propagate(std::numeric_limits<double>::infinity());
-    }
     committed_ = latency.has_value();
     if (committed_) {
-      for (std::size_t s = 0; s < mark_.size(); ++s)
-        if (mark_[s] == mark_gen_) committed_finish_[s] = finish_[s];
+      for (const Retimed& e : retimed_) {
+        cur_finish_[static_cast<std::size_t>(e.sid)] = e.finish;
+        committed_ready_[static_cast<std::size_t>(e.sid)] = e.ready;
+      }
       committed_latency_ = *latency;
       rerank_merge_window();
     }
   }
+  scored_ = {};
   pending_.reset();
 }
 
@@ -244,7 +245,6 @@ bool ScheduleState::run_eval() {
   // Kahn pass over the stage DAG. In-degrees count chain and data edges
   // with repeats, exactly as the pops below decrement them; a chain edge
   // adds 0 transfer.
-  ++mark_gen_;  // finish_ is rewritten: no propagated finish survives
   for (const auto& list : gpu_list_) {
     for (int sid : list) {
       in_deg_[static_cast<std::size_t>(sid)] = 0;
@@ -268,7 +268,6 @@ bool ScheduleState::run_eval() {
     ++processed;
     const double t_start = ready_[static_cast<std::size_t>(s)];
     const double t_finish = t_start + stage_time_[static_cast<std::size_t>(s)];
-    start_[static_cast<std::size_t>(s)] = t_start;
     finish_[static_cast<std::size_t>(s)] = t_finish;
     latency = std::max(latency, t_finish);
     for_each_successor(s, [&](int t, double transfer) {
@@ -285,7 +284,8 @@ bool ScheduleState::run_eval() {
     // improves_on() propagates from; frontier_ holds its Kahn order.
     committed_ = true;
     committed_latency_ = latency_;
-    committed_finish_ = finish_;
+    cur_finish_ = finish_;
+    committed_ready_ = ready_;
     at_rank_.assign(frontier_.begin(), frontier_.end());
     rank_.assign(ops_.size(), -1);
     for (std::size_t r = 0; r < at_rank_.size(); ++r)
@@ -295,24 +295,25 @@ bool ScheduleState::run_eval() {
   return true;
 }
 
-double ScheduleState::retime(int sid) const {
+double ScheduleState::ready_of(int sid) const {
   // run_eval's recurrence over the same operands: max over the chain
-  // predecessor and every data input, then one add.
+  // predecessor and every data input (the caller adds t(S)).
   const graph::NodeId* const src = cg_.in_src();
+  const double* const fin = cur_finish_.data();
   const std::size_t s = static_cast<std::size_t>(sid);
   double ready = 0.0;
   if (pos_of_[s] > 0) {
     const auto& list = gpu_list_[static_cast<std::size_t>(stage_gpu_[s])];
-    ready = current_finish(list[static_cast<std::size_t>(pos_of_[s] - 1)]);
+    ready = fin[list[static_cast<std::size_t>(pos_of_[s] - 1)]];
   }
   for (graph::NodeId v : ops_[s]) {
     const auto u = static_cast<std::size_t>(v);
     for (std::size_t k = cg_.in_slot(u); k < cg_.in_slot(u + 1); ++k) {
       const int su = node_stage_[static_cast<std::size_t>(src[k])];
-      if (su >= 0 && su != sid) ready = std::max(ready, current_finish(su) + in_transfer_[k]);
+      if (su >= 0 && su != sid) ready = std::max(ready, fin[su] + in_transfer_[k]);
     }
   }
-  return ready + stage_time_[static_cast<std::size_t>(sid)];
+  return ready;
 }
 
 bool ScheduleState::merge_deadlocks() {
@@ -322,7 +323,7 @@ bool ScheduleState::merge_deadlocks() {
   // highest member rank — the members form a chain on one GPU, so that is
   // the last one's.
   const PendingMerge& p = *pending_;
-  const int limit = rank_[static_cast<std::size_t>(p.removed.back())];
+  const int limit = rank_[static_cast<std::size_t>(removed_.back())];
   ++mark_gen_;
   frontier_.clear();
   bool cycle = false;
@@ -343,8 +344,11 @@ bool ScheduleState::merge_deadlocks() {
 
 std::optional<double> ScheduleState::propagate(double bound) {
   const PendingMerge& p = *pending_;
-  ++mark_gen_;  // nothing re-timed yet: current_finish() is the committed one
-  const double rep_finish = retime(p.rep);
+  const auto rep = static_cast<std::size_t>(p.rep);
+  scored_ = {};
+  retimed_.clear();
+  const double rep_ready = ready_of(p.rep);
+  const double rep_finish = rep_ready + stage_time_[rep];
   ++stages_retimed_;
   if (rep_finish >= bound) return std::nullopt;
 
@@ -352,46 +356,63 @@ std::optional<double> ScheduleState::propagate(double bound) {
   // merged stage feeds every downstream input a value >= the old one, and
   // max and rounded + are monotone, so the latency stays >= the committed
   // one, which is >= bound.
-  double members_finish = committed_finish_[static_cast<std::size_t>(p.rep)];
-  for (int m : p.removed)
-    members_finish = std::max(members_finish, committed_finish_[static_cast<std::size_t>(m)]);
+  double members_finish = cur_finish_[rep];
+  for (int m : removed_)
+    members_finish = std::max(members_finish, cur_finish_[static_cast<std::size_t>(m)]);
   if (rep_finish >= members_finish && bound <= committed_latency_) return std::nullopt;
   if (merge_deadlocks()) return std::nullopt;
 
   // Change propagation in committed-rank order. Outside the merged stage
   // every edge is a committed one, so an input always ranks below its
-  // consumer: each stage is popped once, after all its changed inputs.
-  ++mark_gen_;
-  finish_[static_cast<std::size_t>(p.rep)] = rep_finish;
-  mark_[static_cast<std::size_t>(p.rep)] = mark_gen_;
-  std::size_t popped = static_cast<std::size_t>(rank_[static_cast<std::size_t>(p.rep)]);
+  // consumer: each stage is popped once, after all its changed inputs. A
+  // re-timed stage whose ready time or finish moved writes its finish into
+  // cur_finish_ and keeps the committed one in its retimed_ entry.
+  retimed_.push_back({p.rep, cur_finish_[rep], rep_ready});
+  cur_finish_[rep] = rep_finish;
+  std::size_t popped = static_cast<std::size_t>(rank_[rep]);
   std::size_t word = popped / 64;
   std::size_t last_word = word;
-  const auto push = [&](int s, double) {
+  const auto queue = [&](int s) {
     const std::size_t r = static_cast<std::size_t>(rank_[static_cast<std::size_t>(s)]);
     HIOS_ASSERT(r > popped, "propagate: stage " << s << " ranks below its input");
     queued_[r / 64] |= uint64_t{1} << (r % 64);
     last_word = std::max(last_word, r / 64);
   };
-  for_each_successor(p.rep, push);
+  // The merged stage's successors have a new input set: each is re-timed.
+  for_each_successor(p.rep, [&](int t, double) { queue(t); });
   for (; word <= last_word; ++word) {
     while (queued_[word] != 0) {
       popped = word * 64 + static_cast<std::size_t>(std::countr_zero(queued_[word]));
       queued_[word] &= queued_[word] - 1;
       const int s = at_rank_[popped];
-      const double finish = retime(s);
+      const auto si = static_cast<std::size_t>(s);
+      const double ready = ready_of(s);
+      const double finish = ready + stage_time_[si];
       ++stages_retimed_;
       if (finish >= bound) {
         std::fill(queued_.begin() + static_cast<std::ptrdiff_t>(word),
                   queued_.begin() + static_cast<std::ptrdiff_t>(last_word) + 1, 0);
+        restore_committed();
         return std::nullopt;
       }
-      if (std::bit_cast<uint64_t>(finish) !=
-          std::bit_cast<uint64_t>(committed_finish_[static_cast<std::size_t>(s)])) {
-        finish_[static_cast<std::size_t>(s)] = finish;
-        mark_[static_cast<std::size_t>(s)] = mark_gen_;
-        for_each_successor(s, push);
+      const double old = cur_finish_[si];
+      const bool moved = std::bit_cast<uint64_t>(finish) != std::bit_cast<uint64_t>(old);
+      // Rounding can absorb a move of the ready time into the same finish;
+      // the committed ready time must follow it all the same.
+      if (moved ||
+          std::bit_cast<uint64_t>(ready) != std::bit_cast<uint64_t>(committed_ready_[si])) {
+        retimed_.push_back({s, old, ready});
+        cur_finish_[si] = finish;
       }
+      if (!moved) continue;
+      // Push filter: a successor's ready time is an exact max over its
+      // inputs. Unless this input was its max (old + transfer equals it)
+      // or now exceeds it, the max holds whatever this input became; an
+      // input that was the max queues the successor itself.
+      for_each_successor(s, [&](int t, double transfer) {
+        const double r = committed_ready_[static_cast<std::size_t>(t)];
+        if (finish + transfer > r || old + transfer == r) queue(t);
+      });
     }
   }
 
@@ -399,9 +420,15 @@ std::optional<double> ScheduleState::propagate(double bound) {
   // the latency is the latest GPU tail.
   double latency = 0.0;
   for (const auto& list : gpu_list_)
-    if (!list.empty()) latency = std::max(latency, current_finish(list.back()));
+    if (!list.empty())
+      latency = std::max(latency, cur_finish_[static_cast<std::size_t>(list.back())]);
+  restore_committed();
   if (latency >= bound) return std::nullopt;
   return latency;
+}
+
+void ScheduleState::restore_committed() {
+  for (Retimed& e : retimed_) std::swap(e.finish, cur_finish_[static_cast<std::size_t>(e.sid)]);
 }
 
 void ScheduleState::rerank_merge_window() {
@@ -412,7 +439,7 @@ void ScheduleState::rerank_merge_window() {
   // earlier) follow.
   const PendingMerge& p = *pending_;
   const int lo = rank_[static_cast<std::size_t>(p.rep)];
-  const int hi = rank_[static_cast<std::size_t>(p.removed.back())];
+  const int hi = rank_[static_cast<std::size_t>(removed_.back())];
   const auto in_window = [&](int s) {
     const int r = rank_[static_cast<std::size_t>(s)];
     return alive_[static_cast<std::size_t>(s)] && r >= lo && r <= hi;
@@ -465,7 +492,7 @@ std::optional<double> ScheduleState::improves_on(double bound) {
   }
   const auto latency = propagate(bound);
   if (latency.has_value())
-    scored_ = {pending_->rep, pending_->removed.size(), mark_gen_, *latency};
+    scored_ = {pending_->rep, removed_.size(), *latency};
   return latency;
 }
 
@@ -483,7 +510,7 @@ std::optional<Evaluation> ScheduleState::evaluate() {
       for (graph::NodeId v : ops_[static_cast<std::size_t>(sid)])
         eval.stage_of[static_cast<std::size_t>(v)] = flat;
       eval.stages.push_back(StageTiming{gpu, static_cast<int>(i),
-                                        start_[static_cast<std::size_t>(sid)],
+                                        ready_[static_cast<std::size_t>(sid)],
                                         finish_[static_cast<std::size_t>(sid)]});
     }
   }

@@ -17,9 +17,9 @@
 //     the maintained structure with zero allocation, undo_merge() restores
 //     the previous state exactly, and commit_merge() makes it permanent;
 //   * improves_on(bound) scores the pending merge against the committed
-//     timing instead: it re-times only the stages whose finish the merge
-//     moves, in committed topological-rank order, and gives up as soon as
-//     the bound is out of reach;
+//     timing instead: it re-times only the stages whose ready time the
+//     merge can move, in committed topological-rank order, and gives up as
+//     soon as the bound is out of reach;
 //   * stage independence (Alg. 2's window test) is a search over data
 //     successors from the lower-ranked stage, cut off at the other one's
 //     committed rank, instead of a stage-by-stage closure (DESIGN.md §6d).
@@ -97,9 +97,10 @@ class ScheduleState {
 
   /// Latency of the pending merge when it is strictly below `bound`, else
   /// nullopt (not better, or the merge deadlocks); the value is bit-equal
-  /// to evaluate_latency(). Re-times only the stages whose finish the merge
-  /// moves, against the committed timing that the first evaluation after
-  /// load() establishes and commit_merge() keeps current (DESIGN.md §6d).
+  /// to evaluate_latency(). Re-times only the stages whose ready time the
+  /// merge can move, against the committed timing that the first evaluation
+  /// after load() establishes and commit_merge() keeps current (DESIGN.md
+  /// §6d).
   /// Without committed timing (never evaluated, or a deadlocking commit) it
   /// falls back to the full pass.
   std::optional<double> improves_on(double bound);
@@ -136,21 +137,18 @@ class ScheduleState {
     int rep = 0;                   ///< surviving stage id
     std::size_t rep_ops_before = 0;
     double rep_time_before = 0.0;
-    std::vector<int> removed;      ///< merged-away stage ids, window order
   };
 
   bool data_acyclic();  ///< Kahn pass over the stages' data edges alone
-  bool run_eval();  ///< fills start_/finish_/latency_; false on deadlock
+  bool run_eval();  ///< fills ready_ (the starts), finish_, latency_; false on deadlock
 
   // Change propagation over the committed timing (see improves_on()).
-  double current_finish(int sid) const {
-    return mark_[static_cast<std::size_t>(sid)] == mark_gen_
-               ? finish_[static_cast<std::size_t>(sid)]
-               : committed_finish_[static_cast<std::size_t>(sid)];
-  }
-  double retime(int sid) const;  ///< finish of `sid` from its inputs' current_finish()
+  double ready_of(int sid) const;  ///< ready time of `sid` from its inputs' cur_finish_
   bool merge_deadlocks();
   std::optional<double> propagate(double bound);
+  /// Puts the committed finishes back into cur_finish_ after a propagation,
+  /// leaving each retimed_ entry with its re-timed finish.
+  void restore_committed();
   void rerank_merge_window();
   /// Calls f(successor stage, transfer) for the chain successor (transfer
   /// 0) and every data successor of `sid`, repeats included.
@@ -174,6 +172,7 @@ class ScheduleState {
 
   bool data_cyclic_ = false;                     ///< load()'s stage data graph has a cycle
   std::optional<PendingMerge> pending_;
+  std::vector<int> removed_;  ///< the pending merge's merged-away stage ids, window order
 
   // Hoisted cost-model queries. GPU assignments never change between
   // load() and extract() (merges stay on their GPU), so each edge's
@@ -185,34 +184,41 @@ class ScheduleState {
   std::vector<double> stage_time_;               ///< stable id -> t(S) on its GPU
 
   // Evaluation scratch, sized at load(); reused allocation-free.
-  std::vector<double> ready_, start_, finish_;
+  std::vector<double> ready_, finish_;
   std::vector<int> in_deg_, frontier_;
   std::vector<int> mark_;
   int mark_gen_ = 0;
   double latency_ = 0.0;
 
-  // Committed timing, valid while committed_: each stage's finish time and
-  // a topological rank of the stages (rank_ and at_rank_ are inverse; dead
-  // stages keep their slots). queued_ is the rank-indexed bitmap that
-  // propagate() pops in rank order; it is all zero between calls.
+  // Committed timing, valid while committed_: each stage's ready time and
+  // finish, and a topological rank of the stages (rank_ and at_rank_ are
+  // inverse; dead stages keep their slots). cur_finish_ holds the committed
+  // finishes between calls and the pending merge's re-timed ones while
+  // propagate() runs. queued_ is the rank-indexed bitmap that propagate()
+  // pops in rank order; it is all zero between calls.
   bool committed_ = false;
   double committed_latency_ = 0.0;
-  std::vector<double> committed_finish_;
+  std::vector<double> cur_finish_, committed_ready_;
   std::vector<int> rank_, at_rank_;
   std::vector<uint64_t> queued_;
   std::size_t stages_retimed_ = 0;
-  // stages_independent() scratch; its own generation leaves scored_.gen valid.
+  // stages_independent() scratch.
   mutable std::vector<int> seen_, search_;
   mutable int seen_gen_ = 0;
   mutable std::size_t stages_searched_ = 0;
-  // The last improves_on() that ran to completion: its merge, its latency
-  // and the mark generation under which finish_ holds its re-timed stages
-  // (every writer of finish_ bumps mark_gen_). Committing that same merge
-  // right after reuses them.
+  // The stages the last propagate() re-timed whose ready time or finish
+  // moved, with their new values; valid for commit_merge() while scored_
+  // names the merge, i.e. the last improves_on() ran to completion and no
+  // propagation ran since.
+  struct Retimed {
+    int sid = 0;
+    double finish = 0.0;
+    double ready = 0.0;
+  };
+  std::vector<Retimed> retimed_;
   struct Scored {
     int rep = -1;
     std::size_t extent = 0;
-    int gen = 0;
     double latency = 0.0;
   } scored_;
 };

@@ -291,7 +291,7 @@ TEST(HiosLp, Fig14RegressionDagOutcomesAndWorkCeilings) {
   EXPECT_LE(alg1.positions_visited, 2459u);
   EXPECT_EQ(alg1.walks, alg1.paths);
   EXPECT_LE(alg1.ranks_walked, 34267u);
-  EXPECT_LE(alg2.stages_retimed, 18073u);
+  EXPECT_LE(alg2.stages_retimed, 14649u);
   EXPECT_LE(alg2.stages_searched, 475u);
 }
 

@@ -359,6 +359,63 @@ TEST(SchedCore, ImprovesOnMatchesFullEvaluation) {
   EXPECT_GT(commits, 200);
 }
 
+/// t(S) is the longest member's t(v): members overlap perfectly, so a
+/// merge can only shorten a stage.
+class MaxWeightModel final : public cost::CostModel {
+ public:
+  double stage_time(const graph::Graph& g,
+                    std::span<const graph::NodeId> stage) const override {
+    double t = 0.0;
+    for (graph::NodeId v : stage) t = std::max(t, g.node_weight(v));
+    return t;
+  }
+  double demand(const graph::Graph&, graph::NodeId) const override { return 1.0; }
+};
+
+TEST(SchedCore, ImprovesOnTracksReadyTimesThatRoundingHides) {
+  // Stage t (t(S) = 2^53, where doubles lie 2 apart) reads a (GPU 1) and
+  // b (GPU 2). Merging a1 into a moves t's ready time from 1.5 to 1.25, but
+  // 2^53 + 1.5 and 2^53 + 1.25 both round to 2^53 + 2, so t's finish keeps
+  // its bits. Merging b0 and b1 then moves b's finish from 1.0 to 0.75, t's
+  // ready time to 1.0 and its finish to 2^53. b is not merged, so only its
+  // push reaches t; b was not t's latest input under the old ready time, so
+  // a committed ready time left at 1.5 would never re-time t.
+  graph::Graph g;
+  const graph::NodeId a1 = g.add_node("a1", 0.5);
+  const graph::NodeId a = g.add_node("a", 0.5);
+  const graph::NodeId b0 = g.add_node("b0", 0.25);
+  const graph::NodeId b1 = g.add_node("b1", 0.25);
+  const graph::NodeId b = g.add_node("b", 0.5);
+  const graph::NodeId t = g.add_node("t", 0x1p53);
+  g.add_edge(a, t, 0.5);
+  g.add_edge(b, t, 0.25);
+  Schedule s(3);
+  s.gpus[0] = {Stage{{t}}};
+  s.gpus[1] = {Stage{{a1}}, Stage{{a}}};
+  s.gpus[2] = {Stage{{b0}}, Stage{{b1}}, Stage{{b}}};
+  const graph::CompiledGraph cg(g);
+  const MaxWeightModel cost;
+  for (const bool scored : {false, true}) {
+    ScheduleState state(cg, cost);
+    state.load(s);
+    const std::optional<double> before = state.evaluate_latency();
+    ASSERT_EQ(before, 0x1p53 + 2);
+    state.apply_merge(1, 0, 1);
+    if (scored) {
+      EXPECT_EQ(state.improves_on(std::numeric_limits<double>::infinity()), before);
+    }
+    state.commit_merge();
+    const std::optional<Evaluation> eval = state.evaluate();
+    ASSERT_TRUE(eval.has_value());
+    const StageTiming& ts = eval->stages[static_cast<std::size_t>(eval->stage_of[t])];
+    EXPECT_EQ(ts.start, 1.25);         // the ready time moved ...
+    EXPECT_EQ(ts.finish, 0x1p53 + 2);  // ... and the finish kept its bits
+    state.apply_merge(2, 0, 1);
+    EXPECT_EQ(expect_improves_on_agrees(state, before), 0x1p53) << "scored " << scored;
+    state.undo_merge();
+  }
+}
+
 TEST(SchedCore, CommittedReachMatchesFreshRebuild) {
   std::mt19937_64 rng(0xFACE);
   int commits = 0;
