@@ -2,10 +2,11 @@
 // runtime survive it.
 //
 // A thin Inception-v3 is scheduled across virtual GPUs, then a fail-stop
-// is injected halfway through the victim GPU's work. The engine detects
-// the failure through its closed-channel protocol (no hangs), the failover
-// layer re-runs HIOS on the surviving GPUs over the residual graph, and
-// the merged outputs are verified bit-exact against sequential execution.
+// is injected halfway through the victim GPU's work. The engine stops the
+// dead GPU and blocks every stage that waits on a tensor it never sent;
+// the failover layer re-runs HIOS on the surviving GPUs over the residual
+// graph, and the merged outputs are verified bit-exact against sequential
+// execution.
 //
 //   ./fault_injection --gpus 3 --fail-gpu auto --algorithm hios-lp
 #include <algorithm>

@@ -19,8 +19,8 @@
 //   sched/   Sequential, IOS, HIOS-LP, HIOS-MR (+ inter-GPU-only ablations)
 //   fault/   deterministic fault-injection plans (fail-stop, links, stragglers)
 //   sim/     stage- and op-level discrete-event simulators, trace export
-//   runtime/ virtual-GPU engine (threads + MPI-like channels, real tensors)
-//            + failover rescheduling onto surviving GPUs
+//   runtime/ virtual-GPU engine (stage-order walk, modelled transfers, real
+//            tensors) + failover rescheduling onto surviving GPUs
 //   serve/   multi-tenant serving: admission queue, stream slots, schedule
 //            cache, metrics
 //   core/    pipeline + experiment helpers

@@ -1,31 +1,17 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
 #include <memory>
 #include <sstream>
-#include <thread>
-#include <unordered_map>
 
+#include "cost/table_model.h"
+#include "graph/compiled_graph.h"
 #include "ops/kernels.h"
-#include "runtime/channel.h"
+#include "sched/core/schedule_state.h"
 #include "sched/validate.h"
 #include "util/rng.h"
 
 namespace hios::runtime {
-
-namespace {
-
-/// A tensor in flight between vGPUs, stamped with its virtual arrival time
-/// (producer stage finish + modelled transfer, including any fault retries).
-struct Message {
-  std::shared_ptr<const ops::Tensor> tensor;
-  double ready_ms = 0.0;
-  bool delivered = true;  ///< false: the link's retry budget was exhausted
-};
-
-}  // namespace
 
 ops::Tensor make_input_tensor(const ops::Model& model, ops::OpId input_id) {
   HIOS_CHECK(model.is_input(input_id), "op " << input_id << " is not a model input");
@@ -66,240 +52,191 @@ ExecutionResult execute_schedule(const ops::Model& model, const graph::Graph& gr
   const std::vector<int> gpu_of = schedule.gpu_assignment(n);
   const fault::FaultPlan* plan = options.faults;
 
-  const auto deadline =
-      options.watchdog_ms > 0.0
-          ? std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(static_cast<int64_t>(options.watchdog_ms))
-          : std::chrono::steady_clock::time_point::max();
-
   // node <-> op id maps (graph node tags index into the model).
   std::vector<ops::OpId> op_of(n);
-  std::unordered_map<ops::OpId, graph::NodeId> node_of;
+  std::vector<graph::NodeId> node_of(static_cast<std::size_t>(model.num_ops()), -1);
   for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(n); ++v) {
-    op_of[static_cast<std::size_t>(v)] = static_cast<ops::OpId>(graph.node_tag(v));
-    HIOS_CHECK(op_of[static_cast<std::size_t>(v)] >= 0 &&
-                   op_of[static_cast<std::size_t>(v)] < model.num_ops(),
+    const auto op_id = static_cast<ops::OpId>(graph.node_tag(v));
+    HIOS_CHECK(op_id >= 0 && op_id < model.num_ops(),
                "graph node " << v << " has no valid model op tag");
-    node_of[op_of[static_cast<std::size_t>(v)]] = v;
+    op_of[static_cast<std::size_t>(v)] = op_id;
+    node_of[static_cast<std::size_t>(op_id)] = v;
+  }
+  auto injected = [&](ops::OpId op_id) {
+    return options.boundary != nullptr && options.boundary->contains(op_id);
+  };
+
+  // Every op the run computes must get each non-input operand through an
+  // in-edge of its node: the graph edges are what orders producer before
+  // consumer and what carries a tensor between vGPUs.
+  for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(n); ++v) {
+    const ops::OpId op_id = op_of[static_cast<std::size_t>(v)];
+    if (injected(op_id)) continue;
+    for (ops::OpId in : model.inputs(op_id)) {
+      if (model.is_input(in)) continue;
+      const graph::NodeId u = node_of[static_cast<std::size_t>(in)];
+      const auto in_edges = graph.in_edges(v);
+      HIOS_CHECK(u >= 0 && std::any_of(in_edges.begin(), in_edges.end(),
+                                       [&](graph::EdgeId e) { return graph.edge(e).src == u; }),
+                 "op '" << model.op(op_id).name() << "' reads op '" << model.op(in).name()
+                        << "', but graph '" << graph.name() << "' has no edge from it into node '"
+                        << graph.node_name(v) << "'");
+    }
   }
 
-  // Shared read-only model inputs.
-  std::map<ops::OpId, std::shared_ptr<const ops::Tensor>> shared_inputs;
+  std::map<ops::OpId, std::shared_ptr<const ops::Tensor>> model_inputs;
   for (ops::OpId in : model.input_ids()) {
     auto it = inputs.find(in);
-    shared_inputs[in] = std::make_shared<const ops::Tensor>(
+    model_inputs[in] = std::make_shared<const ops::Tensor>(
         it != inputs.end() ? it->second : make_input_tensor(model, in));
   }
 
-  // One channel per cross-GPU edge (matched MPI send/recv pairs), plus —
-  // for the hang-proofing protocol — each GPU's outgoing channels grouped
-  // by the stage that sends on them: a worker that stops early (fault,
-  // blocked dependency, or exception) closes every channel from its stop
-  // stage onward so consumers unblock instead of waiting forever. Closing
-  // an already-sent channel is harmless: buffered messages drain first.
-  std::unordered_map<graph::EdgeId, std::unique_ptr<Channel<Message>>> channels;
-  const std::vector<int> stage_of = schedule.stage_index(n);
-  std::vector<std::vector<std::vector<Channel<Message>*>>> out_channels(
-      static_cast<std::size_t>(schedule.num_gpus));
-  for (int g = 0; g < schedule.num_gpus; ++g)
-    out_channels[static_cast<std::size_t>(g)].resize(
-        schedule.gpus[static_cast<std::size_t>(g)].size());
-  for (graph::EdgeId e = 0; e < static_cast<graph::EdgeId>(graph.num_edges()); ++e) {
-    const graph::Edge& edge = graph.edge(e);
-    const int src_gpu = gpu_of[static_cast<std::size_t>(edge.src)];
-    if (src_gpu == gpu_of[static_cast<std::size_t>(edge.dst)]) continue;
-    auto chan = std::make_unique<Channel<Message>>();
-    out_channels[static_cast<std::size_t>(src_gpu)]
-                [static_cast<std::size_t>(stage_of[static_cast<std::size_t>(edge.src)])]
-                    .push_back(chan.get());
-    channels.emplace(e, std::move(chan));
-  }
+  // A topological order of the stage DAG (data edges plus each vGPU's
+  // stage order; acyclic, as check_schedule proved): every stage runs after
+  // all it waits on. Only the order is read, so a unit-cost probe stands in
+  // for `cost`, which is asked only for the times the run uses.
+  const graph::CompiledGraph compiled(graph);
+  const cost::TableCostModel probe;
+  sched::ScheduleState order(compiled, probe);
+  order.load(schedule);
+  (void)order.evaluate_latency();
 
-  struct WorkerOutput {
-    double makespan = 0.0;
+  struct Vgpu {
+    double clock = 0.0;     ///< finish of its last executed stage
+    bool stopped = false;   ///< fail-stopped or blocked: runs no further stage
     std::vector<sim::TimelineEvent> events;
-    std::map<ops::OpId, ops::Tensor> sink_outputs;
-    std::map<ops::OpId, std::shared_ptr<const ops::Tensor>> computed;
-    std::vector<graph::NodeId> executed;
-    std::vector<double> finish_ms;  // parallel to executed
     std::vector<fault::FaultObservation> observations;
-    std::exception_ptr error;
   };
-  std::vector<WorkerOutput> worker_out(static_cast<std::size_t>(schedule.num_gpus));
-
-  auto worker = [&](int me) {
-    WorkerOutput& out = worker_out[static_cast<std::size_t>(me)];
-    const auto& stages = schedule.gpus[static_cast<std::size_t>(me)];
-    const double fail_ms = plan ? plan->fail_time(me) : fault::kNever;
-    // First stage this worker did NOT fully send: its outgoing channels
-    // (and all later ones) are closed when the worker exits early.
-    std::size_t stop_stage = stages.size();
-    try {
-      std::unordered_map<graph::NodeId, std::shared_ptr<const ops::Tensor>> local;
-      std::unordered_map<graph::NodeId, double> local_ready;  // producer stage finish
-      double clock = 0.0;
-      for (std::size_t si = 0; si < stages.size(); ++si) {
-        const sched::Stage& stage = stages[si];
-        double start = clock;
-        // Gather every remote dependency of this stage (blocking recv per
-        // edge) and fold local producers' stage-finish times. A closed
-        // channel or an undeliverable transfer marks the stage — and with
-        // it this worker — as permanently blocked.
-        bool dep_failed = false;
-        for (graph::NodeId v : stage.ops) {
-          if (dep_failed) break;
-          for (graph::EdgeId e : graph.in_edges(v)) {
-            const graph::Edge& edge = graph.edge(e);
-            if (gpu_of[static_cast<std::size_t>(edge.src)] == me) {
-              start = std::max(start, local_ready.at(edge.src));
-              continue;
-            }
-            Message msg;
-            const RecvStatus st = channels.at(e)->recv_until(msg, deadline);
-            if (st == RecvStatus::kTimeout) {
-              throw WatchdogError("engine watchdog expired on GPU " + std::to_string(me) +
-                                  " waiting for '" + graph.node_name(edge.src) + "' -> '" +
-                                  graph.node_name(edge.dst) + "'");
-            }
-            if (st == RecvStatus::kClosed || !msg.delivered) {
-              out.observations.push_back(fault::FaultObservation{
-                  fault::FaultObservation::Kind::kBlocked, me,
-                  gpu_of[static_cast<std::size_t>(edge.src)], clock,
-                  "gpu " + std::to_string(me) + " blocked: dependency '" +
-                      graph.node_name(edge.src) + "' will never arrive"});
-              dep_failed = true;
-              break;
-            }
-            start = std::max(start, msg.ready_ms);
-            local[edge.src] = std::move(msg.tensor);  // cache for this consumer
-          }
-        }
-        if (dep_failed) {
-          stop_stage = si;
-          break;
-        }
-        // Fail-stop: the GPU dies before any stage starting at/after its
-        // fail time (a stage that started earlier runs to completion).
-        if (start >= fail_ms) {
-          out.observations.push_back(fault::FaultObservation{
-              fault::FaultObservation::Kind::kFailStop, me, -1, fail_ms,
-              "gpu " + std::to_string(me) + " fail-stop at " + std::to_string(fail_ms) +
-                  " ms before stage " + std::to_string(si)});
-          stop_stage = si;
-          break;
-        }
-        // Execute the stage's ops on real tensors (boundary ops were
-        // computed before this run; inject their tensors instead).
-        for (graph::NodeId v : stage.ops) {
-          const ops::OpId op_id = op_of[static_cast<std::size_t>(v)];
-          if (options.boundary) {
-            auto it = options.boundary->find(op_id);
-            if (it != options.boundary->end()) {
-              local[v] = it->second;
-              continue;
-            }
-          }
-          std::vector<const ops::Tensor*> in_tensors;
-          for (ops::OpId in : model.inputs(op_id)) {
-            if (model.is_input(in)) {
-              in_tensors.push_back(shared_inputs.at(in).get());
-            } else {
-              in_tensors.push_back(local.at(node_of.at(in)).get());
-            }
-          }
-          local[v] = std::make_shared<const ops::Tensor>(
-              ops::execute_op(model.op(op_id), in_tensors, static_cast<uint64_t>(op_id)));
-        }
-        const double scale = plan ? plan->compute_scale(me, start) : 1.0;
-        const double finish =
-            start +
-            cost.stage_time_on(graph, std::span<const graph::NodeId>(stage.ops), me) * scale;
-        clock = finish;
-        for (graph::NodeId v : stage.ops) {
-          local_ready[v] = finish;
-          out.executed.push_back(v);
-          out.finish_ms.push_back(finish);
-          if (plan) out.computed.emplace(op_of[static_cast<std::size_t>(v)], local.at(v));
-          out.events.push_back(sim::TimelineEvent{sim::TimelineEvent::Kind::kCompute,
-                                                  graph.node_name(v), me, -1,
-                                                  static_cast<int>(si), start, finish});
-          // Forward to remote consumers; collect sink outputs.
-          for (graph::EdgeId e : graph.out_edges(v)) {
-            const graph::Edge& edge = graph.edge(e);
-            const int dst_gpu = gpu_of[static_cast<std::size_t>(edge.dst)];
-            if (dst_gpu == me) continue;
-            const double base = cost.transfer_time(graph, e, me, dst_gpu);
-            const std::string name =
-                graph.node_name(v) + "->" + graph.node_name(edge.dst);
-            if (!plan) {
-              channels.at(e)->send(Message{local.at(v), finish + base, true});
-              out.events.push_back(sim::TimelineEvent{
-                  sim::TimelineEvent::Kind::kTransfer, name, me, dst_gpu, -1, finish,
-                  finish + base});
-              continue;
-            }
-            const fault::TransferResolution res =
-                plan->resolve_transfer(me, dst_gpu, finish, base);
-            for (const fault::TransferAttempt& a : res.attempts) {
-              if (a.ok) continue;
-              out.events.push_back(sim::TimelineEvent{
-                  sim::TimelineEvent::Kind::kRetry, name + " (retry)", me, dst_gpu, -1,
-                  a.at_ms, a.at_ms + a.backoff_ms});
-            }
-            if (res.delivered) {
-              channels.at(e)->send(Message{local.at(v), res.arrival_ms, true});
-              out.events.push_back(sim::TimelineEvent{
-                  sim::TimelineEvent::Kind::kTransfer, name, me, dst_gpu, -1,
-                  res.attempts.back().at_ms, res.arrival_ms});
-            } else {
-              channels.at(e)->send(Message{nullptr, res.arrival_ms, false});
-              out.observations.push_back(fault::FaultObservation{
-                  fault::FaultObservation::Kind::kTransferFailed, me, dst_gpu, finish,
-                  "transfer '" + name + "' failed after " +
-                      std::to_string(res.attempts.size()) + " attempts"});
-            }
-          }
-          if (graph.out_degree(v) == 0) {
-            out.sink_outputs.emplace(op_of[static_cast<std::size_t>(v)], *local.at(v));
-          }
-        }
-      }
-      out.makespan = clock;
-    } catch (...) {
-      out.error = std::current_exception();
-      // Conservative: close everything this worker could still owe.
-      stop_stage = 0;
-    }
-    // Hang-proofing: whatever channels this worker will never (or may not
-    // have) fed are poisoned so every peer's recv returns instead of
-    // blocking. Already-sent messages drain before the close is observed.
-    for (std::size_t si = stop_stage; si < stages.size(); ++si)
-      for (Channel<Message>* ch : out_channels[static_cast<std::size_t>(me)][si])
-        ch->close();
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(schedule.num_gpus));
-  for (int i = 0; i < schedule.num_gpus; ++i) threads.emplace_back(worker, i);
-  for (auto& t : threads) t.join();
-  for (const auto& out : worker_out) {
-    if (out.error) std::rethrow_exception(out.error);
-  }
+  std::vector<Vgpu> vgpus(static_cast<std::size_t>(schedule.num_gpus));
+  // Arrival time of each cross-GPU edge's tensor; kDead until delivered, so
+  // an edge whose producer never ran or whose transfer failed stays dead.
+  constexpr double kDead = -1.0;
+  std::vector<double> arrival(graph.num_edges(), kDead);
+  std::vector<std::shared_ptr<const ops::Tensor>> tensor(n);
 
   ExecutionResult result;
   result.executed.assign(n, 0);
   result.node_finish_ms.assign(n, -1.0);
   result.timeline.num_gpus = schedule.num_gpus;
-  for (auto& out : worker_out) {
-    result.latency_ms = std::max(result.latency_ms, out.makespan);
-    for (auto& ev : out.events) result.timeline.events.push_back(std::move(ev));
-    for (auto& [op_id, tensor] : out.sink_outputs) result.outputs.emplace(op_id, tensor);
-    for (auto& [op_id, tensor] : out.computed) result.computed.emplace(op_id, tensor);
-    for (std::size_t i = 0; i < out.executed.size(); ++i) {
-      result.executed[static_cast<std::size_t>(out.executed[i])] = 1;
-      result.node_finish_ms[static_cast<std::size_t>(out.executed[i])] = out.finish_ms[i];
+
+  for (const int sid : order.stage_order()) {
+    const int me = order.gpu_of_stage(sid);
+    Vgpu& gpu = vgpus[static_cast<std::size_t>(me)];
+    if (gpu.stopped) continue;
+    const int si = order.position_of(sid);
+    const sched::Stage& stage =
+        schedule.gpus[static_cast<std::size_t>(me)][static_cast<std::size_t>(si)];
+
+    // The stage starts once its vGPU is free and every input has arrived;
+    // the first dead cross-GPU input blocks the vGPU for good.
+    double start = gpu.clock;
+    const graph::Edge* dead = nullptr;
+    for (graph::NodeId v : stage.ops) {
+      for (graph::EdgeId e : graph.in_edges(v)) {
+        const graph::Edge& edge = graph.edge(e);
+        if (gpu_of[static_cast<std::size_t>(edge.src)] == me) {
+          start = std::max(start, result.node_finish_ms[static_cast<std::size_t>(edge.src)]);
+        } else if (arrival[static_cast<std::size_t>(e)] == kDead) {
+          dead = &edge;
+          break;
+        } else {
+          start = std::max(start, arrival[static_cast<std::size_t>(e)]);
+        }
+      }
+      if (dead) break;
     }
-    for (auto& obs : out.observations) result.fault_events.push_back(std::move(obs));
+    if (dead) {
+      gpu.observations.push_back(fault::FaultObservation{
+          fault::FaultObservation::Kind::kBlocked, me,
+          gpu_of[static_cast<std::size_t>(dead->src)], gpu.clock,
+          "gpu " + std::to_string(me) + " blocked: dependency '" +
+              graph.node_name(dead->src) + "' will never arrive"});
+      gpu.stopped = true;
+      continue;
+    }
+    // Fail-stop: the GPU dies before any stage starting at/after its fail
+    // time (a stage that started earlier runs to completion).
+    const double fail_ms = plan ? plan->fail_time(me) : fault::kNever;
+    if (start >= fail_ms) {
+      gpu.observations.push_back(fault::FaultObservation{
+          fault::FaultObservation::Kind::kFailStop, me, -1, fail_ms,
+          "gpu " + std::to_string(me) + " fail-stop at " + std::to_string(fail_ms) +
+              " ms before stage " + std::to_string(si)});
+      gpu.stopped = true;
+      continue;
+    }
+    // Execute the stage's ops on real tensors (boundary ops were computed
+    // before this run; inject their tensors instead).
+    for (graph::NodeId v : stage.ops) {
+      const ops::OpId op_id = op_of[static_cast<std::size_t>(v)];
+      if (injected(op_id)) {
+        tensor[static_cast<std::size_t>(v)] = options.boundary->at(op_id);
+        continue;
+      }
+      std::vector<const ops::Tensor*> in_tensors;
+      for (ops::OpId in : model.inputs(op_id)) {
+        in_tensors.push_back(
+            model.is_input(in)
+                ? model_inputs.at(in).get()
+                : tensor[static_cast<std::size_t>(node_of[static_cast<std::size_t>(in)])].get());
+      }
+      tensor[static_cast<std::size_t>(v)] = std::make_shared<const ops::Tensor>(
+          ops::execute_op(model.op(op_id), in_tensors, static_cast<uint64_t>(op_id)));
+    }
+    const double scale = plan ? plan->compute_scale(me, start) : 1.0;
+    const double finish =
+        start + cost.stage_time_on(graph, std::span<const graph::NodeId>(stage.ops), me) * scale;
+    gpu.clock = finish;
+    for (graph::NodeId v : stage.ops) {
+      const std::shared_ptr<const ops::Tensor>& out = tensor[static_cast<std::size_t>(v)];
+      result.executed[static_cast<std::size_t>(v)] = 1;
+      result.node_finish_ms[static_cast<std::size_t>(v)] = finish;
+      if (plan) result.computed.emplace(op_of[static_cast<std::size_t>(v)], out);
+      gpu.events.push_back(sim::TimelineEvent{sim::TimelineEvent::Kind::kCompute,
+                                              graph.node_name(v), me, -1, si, start, finish});
+      // Send to remote consumers; collect sink outputs.
+      for (graph::EdgeId e : graph.out_edges(v)) {
+        const graph::Edge& edge = graph.edge(e);
+        const int dst_gpu = gpu_of[static_cast<std::size_t>(edge.dst)];
+        if (dst_gpu == me) continue;
+        const double base = cost.transfer_time(graph, e, me, dst_gpu);
+        const std::string name = graph.node_name(v) + "->" + graph.node_name(edge.dst);
+        if (!plan) {
+          arrival[static_cast<std::size_t>(e)] = finish + base;
+          gpu.events.push_back(sim::TimelineEvent{sim::TimelineEvent::Kind::kTransfer, name,
+                                                  me, dst_gpu, -1, finish, finish + base});
+          continue;
+        }
+        const fault::TransferResolution res = plan->resolve_transfer(me, dst_gpu, finish, base);
+        for (const fault::TransferAttempt& a : res.attempts) {
+          if (a.ok) continue;
+          gpu.events.push_back(sim::TimelineEvent{sim::TimelineEvent::Kind::kRetry,
+                                                  name + " (retry)", me, dst_gpu, -1, a.at_ms,
+                                                  a.at_ms + a.backoff_ms});
+        }
+        if (res.delivered) {
+          arrival[static_cast<std::size_t>(e)] = res.arrival_ms;
+          gpu.events.push_back(sim::TimelineEvent{sim::TimelineEvent::Kind::kTransfer, name,
+                                                  me, dst_gpu, -1, res.attempts.back().at_ms,
+                                                  res.arrival_ms});
+        } else {
+          gpu.observations.push_back(fault::FaultObservation{
+              fault::FaultObservation::Kind::kTransferFailed, me, dst_gpu, finish,
+              "transfer '" + name + "' failed after " + std::to_string(res.attempts.size()) +
+                  " attempts"});
+        }
+      }
+      if (graph.out_degree(v) == 0)
+        result.outputs.emplace(op_of[static_cast<std::size_t>(v)], *out);
+    }
+  }
+
+  // Events and observations are reported GPU-major, each vGPU's in its
+  // stage order.
+  for (Vgpu& gpu : vgpus) {
+    result.latency_ms = std::max(result.latency_ms, gpu.clock);
+    for (auto& ev : gpu.events) result.timeline.events.push_back(std::move(ev));
+    for (auto& obs : gpu.observations) result.fault_events.push_back(std::move(obs));
   }
   result.complete =
       std::all_of(result.executed.begin(), result.executed.end(), [](char c) { return c; });

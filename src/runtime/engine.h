@@ -1,23 +1,22 @@
 // Virtual-GPU execution engine — the functional substitute for the paper's
 // cuDNN + CUDA-aware-MPI engine (§VI-A).
 //
-// One worker thread per virtual GPU executes its stage list in order,
-// computing real tensors with the CPU reference kernels. Cross-GPU tensor
-// dependencies travel over per-edge blocking channels, exactly like the
-// matched MPI send/recv pairs in the paper's engine. Time is *virtual*:
-// each message carries the producing stage's finish time plus the modelled
-// transfer time, and each vGPU advances a local clock using the same cost
-// model the scheduler optimised against. The result is deterministic
-// regardless of thread interleaving and provably equal to the stage-level
-// simulator — while the tensors prove the schedule computes exactly what
+// The engine runs every vGPU's stage list on the calling thread, computing
+// real tensors with the CPU reference kernels. Time is *virtual*: a stage
+// starts when its vGPU's previous stage has finished and every cross-GPU
+// tensor it reads has arrived (producer stage finish plus the modelled
+// transfer time), and lasts t(S) under the same cost model the scheduler
+// optimised against. That makes the clock a pure function of the schedule,
+// so the stages run in one topological order of the stage DAG — the order
+// sched::ScheduleState gives — and the result equals the stage-level
+// evaluator's, while the tensors prove the schedule computes exactly what
 // sequential execution computes.
 //
-// Hardened runtime: the engine is hang-proof. A worker that throws, dies to
-// an injected fail-stop, or loses a dependency closes every channel it will
-// never feed, so peers unblock with a structured hios::Error instead of
-// waiting forever; a wall-clock watchdog bounds every receive as a last
-// line of defence. Fault injection (fault::FaultPlan) drives fail-stop /
-// straggler / link faults deterministically in virtual time; transient
+// Fault injection (fault::FaultPlan) drives fail-stop / straggler / link
+// faults deterministically in virtual time. A cross-GPU tensor is either
+// delivered at its arrival time or dead: its producer's vGPU stopped before
+// the producing stage, or the link's retry budget ran out. A stage that
+// reads a dead tensor blocks its vGPU for good (DESIGN.md §6c). Transient
 // transfer faults are retried with capped exponential backoff and every
 // attempt is recorded in the Timeline.
 #pragma once
@@ -34,25 +33,10 @@
 
 namespace hios::runtime {
 
-/// Thrown when the wall-clock watchdog expires on a blocking receive — the
-/// runtime itself wedged, which the closed-channel protocol is supposed to
-/// make impossible. Distinguished from plain hios::Error so serving-layer
-/// liveness monitors (serve::Metrics) can count watchdog fires separately
-/// from ordinary request failures.
-class WatchdogError : public Error {
- public:
-  using Error::Error;
-};
-
 /// Execution knobs beyond the schedule itself.
 struct ExecOptions {
   /// Fault script to inject; nullptr = fault-free run.
   const fault::FaultPlan* faults = nullptr;
-
-  /// Wall-clock watchdog on every blocking receive (<= 0 disables). This is
-  /// real time, not virtual time: it only fires if the runtime itself is
-  /// wedged, which the closed-channel protocol should make impossible.
-  double watchdog_ms = 60000.0;
 
   /// When a fault leaves the run incomplete: false (default) throws a
   /// structured hios::Error; true returns the partial ExecutionResult so a
@@ -82,11 +66,14 @@ struct ExecutionResult {
 };
 
 /// Executes `schedule` (over the profiled `graph`, whose node tags index
-/// into `model`) with one thread per virtual GPU. `inputs` supplies a
-/// tensor per model input (by op id); missing inputs are filled with
-/// deterministic pseudo-random data.
-/// Throws on invalid schedules (validated up front), on worker exceptions,
-/// and — unless `options.allow_partial` — on fault-incomplete runs.
+/// into `model`) on virtual GPUs. `inputs` supplies a tensor per model
+/// input (by op id); missing inputs are filled with deterministic
+/// pseudo-random data.
+/// Throws hios::Error, before running anything, on an invalid schedule or
+/// a graph that misses a model dependency of a computed op (the op reads a
+/// non-input op that is not the source of one of its node's in-edges);
+/// passes kernel exceptions through; and — unless `options.allow_partial` —
+/// throws on fault-incomplete runs.
 ExecutionResult execute_schedule(const ops::Model& model, const graph::Graph& graph,
                                  const sched::Schedule& schedule,
                                  const cost::CostModel& cost,

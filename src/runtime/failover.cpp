@@ -36,10 +36,9 @@ FailoverResult execute_with_failover(const ops::Model& model, const graph::Graph
                                      const FailoverOptions& options) {
   HIOS_CHECK(cost != nullptr, "execute_with_failover needs a cost model");
 
-  ExecOptions primary_opts = options.exec;
+  ExecOptions primary_opts;
   primary_opts.faults = &plan;
   primary_opts.allow_partial = true;
-  primary_opts.boundary = nullptr;
 
   FailoverResult result;
   result.primary = execute_schedule(model, graph, schedule, *cost, inputs, primary_opts);
@@ -111,9 +110,7 @@ FailoverResult execute_with_failover(const ops::Model& model, const graph::Graph
     boundary.emplace(op_id, it->second);
   }
 
-  ExecOptions recovery_opts = options.exec;
-  recovery_opts.faults = nullptr;  // recovery is fault-free under the degraded model
-  recovery_opts.allow_partial = false;
+  ExecOptions recovery_opts;  // fault-free under the degraded model
   recovery_opts.boundary = &boundary;
   const ExecutionResult recovery = execute_schedule(
       model, residual.graph, rescheduled.schedule, *degraded, inputs, recovery_opts);

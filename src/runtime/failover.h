@@ -29,7 +29,6 @@ namespace hios::runtime {
 struct FailoverOptions {
   std::string algorithm = "hios-lp";    ///< rescheduling algorithm
   sched::SchedulerConfig config;        ///< num_gpus is overridden per run
-  ExecOptions exec;                     ///< watchdog etc. (faults/boundary overridden)
 };
 
 /// What the recovery cost, for reporting (§"recovery metrics").

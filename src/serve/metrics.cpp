@@ -15,7 +15,7 @@ void Metrics::on_admitted(std::size_t queue_depth_after) {
   s_.queue_high_watermark = std::max(s_.queue_high_watermark, queue_depth_after);
 }
 
-void Metrics::on_finished(const Response& response, bool watchdog_fired) {
+void Metrics::on_finished(const Response& response) {
   std::lock_guard<std::mutex> lock(mu_);
   switch (response.verdict) {
     case Verdict::kRejected: ++s_.rejected; break;
@@ -26,10 +26,7 @@ void Metrics::on_finished(const Response& response, bool watchdog_fired) {
       queue_wait_samples_.push_back(response.queue_ms);
       break;
     case Verdict::kDropped: ++s_.dropped; break;
-    case Verdict::kFailed:
-      ++s_.failed;
-      if (watchdog_fired) ++s_.watchdog_fires;
-      break;
+    case Verdict::kFailed: ++s_.failed; break;
   }
   s_.retried += response.attempts - 1;
   if (response.hedged) ++s_.hedged;
@@ -112,7 +109,6 @@ Json Metrics::to_json() const {
   counters["retried"] = s.retried;
   counters["hedged"] = s.hedged;
   counters["hedge_won"] = s.hedge_won;
-  counters["watchdog_fires"] = s.watchdog_fires;
   j["counters"] = std::move(counters);
 
   Json cache = Json::object();

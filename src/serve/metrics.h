@@ -43,10 +43,9 @@ class Metrics {
   void on_admitted(std::size_t queue_depth_after);
 
   /// The one terminal record of a request: counts its verdict (a
-  /// completion also feeds the latency and queue-wait reservoirs, a
-  /// failure the watchdog counter when `watchdog_fired`), its
+  /// completion also feeds the latency and queue-wait reservoirs), its
   /// attempts - 1 re-dispatches as `retried`, and its hedge bits.
-  void on_finished(const Response& response, bool watchdog_fired = false);
+  void on_finished(const Response& response);
 
   // --- degraded-mode resilience (DESIGN.md §6f) -----------------------
   /// A survivor-topology plan lookup: a miss paid a cold build on the
@@ -75,7 +74,6 @@ class Metrics {
     int64_t pool_hits = 0, pool_misses = 0, pool_prewarm_builds = 0;
     int64_t health_transitions = 0;
     int64_t probes_sent = 0, probes_succeeded = 0;
-    int64_t watchdog_fires = 0;
     int64_t cache_lookups = 0;
     int64_t cache_hits = 0, cache_misses = 0, cache_coalesced = 0;
     std::size_t queue_capacity = 0, queue_high_watermark = 0;

@@ -135,16 +135,11 @@ Server::EngineOutcome Server::execute_plan(const ops::Model& model,
                                            const CachedPlan& plan) {
   EngineOutcome out;
   try {
-    runtime::ExecOptions eo;
-    eo.watchdog_ms = options_.watchdog_ms;
     auto result = runtime::execute_schedule(model, plan.profiled.graph, plan.schedule,
-                                            *plan.profiled.cost, /*inputs=*/{}, eo);
+                                            *plan.profiled.cost);
     out.outputs = std::move(result.outputs);
     out.timeline = std::move(result.timeline);
     out.ok = true;
-  } catch (const runtime::WatchdogError& e) {
-    out.watchdog = true;
-    out.error = e.what();
   } catch (const std::exception& e) {
     out.error = e.what();
   }
@@ -478,7 +473,7 @@ ServeReport Server::run_trace(const Trace& trace) {
         resp.error = out.error;
       }
     }
-    metrics_.on_finished(resp, out.watchdog);
+    metrics_.on_finished(resp);
     report.makespan_ms = std::max(report.makespan_ms, resp.finish_ms);
     report.responses.push_back(std::move(resp));
   }

@@ -31,9 +31,8 @@
 //     hedge a second dispatch on a p99-based trigger. The circuit breaker
 //     and survivor prewarm always run; neither is an option.
 //   * Metrics: serve::Metrics counters + tail-latency reservoirs, threaded
-//     through the engine (watchdog fires) and the resilience layer
-//     (retried / hedged / hedge_won / breaker_rejected); the health counts
-//     are the tracker's own.
+//     through the resilience layer (retried / hedged / hedge_won /
+//     breaker_rejected); the health counts are the tracker's own.
 //
 // run_trace(trace) is the server's one serving loop: deterministic serving
 // of a virtual-time request trace. Admission, dispatch, contention, health
@@ -77,8 +76,6 @@ struct ServerOptions {
   /// Execute real tensors through the engine (true) or account virtual
   /// time only (false; throughput benchmarks).
   bool use_engine = true;
-  /// Engine wall-clock watchdog per blocking receive (<= 0 disables).
-  double watchdog_ms = 60000.0;
 
   // --- degraded-mode serving (DESIGN.md §6f) ----------------------------
   /// Server-virtual-time GPU outage windows, the server's only fault
@@ -148,7 +145,6 @@ class Server {
  private:
   struct EngineOutcome {
     bool ok = false;
-    bool watchdog = false;
     std::string error;
     std::map<int, ops::Tensor> outputs;
     sim::Timeline timeline;

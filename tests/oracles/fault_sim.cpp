@@ -7,10 +7,10 @@
 //     producers' stage-finish times and remote transfer arrivals;
 //   * fail-stop: a GPU dies before any stage starting at/after its fail
 //     time (a stage that started earlier completes, including its sends);
-//   * a worker whose dependency can never arrive (producer died or a
-//     link's retry budget exhausted) stops at that stage — and, like the
-//     engine's closed-channel protocol, everything it would have sent
-//     later is dead to its consumers;
+//   * a GPU whose dependency can never arrive (producer died or a
+//     link's retry budget exhausted) stops at that stage — and, as in the
+//     engine, everything it would have sent later is dead to its
+//     consumers;
 //   * transfers are resolved with the plan's retry/backoff arithmetic and
 //     every failed attempt is recorded as a kRetry timeline event;
 //   * stragglers scale stage durations from their onset time.
@@ -59,8 +59,8 @@ FaultyRun simulate_stages_faulty(const graph::Graph& g, const sched::Schedule& s
   run.node_finish_ms.assign(n, -1.0);
   run.timeline.num_gpus = schedule.num_gpus;
 
-  // Mirrors the engine's closed-channel protocol: a stopped worker's
-  // unexecuted stages will never send, so their outgoing cross edges die.
+  // A stopped GPU's unexecuted stages will never send, so their outgoing
+  // cross edges die.
   auto kill_outgoing = [&](int me, std::size_t from_stage) {
     const auto& stages = schedule.gpus[static_cast<std::size_t>(me)];
     for (std::size_t si = from_stage; si < stages.size(); ++si) {

@@ -1,7 +1,10 @@
 // End-to-end tests for the virtual-GPU engine: scheduled execution must
 // compute exactly the tensors of sequential reference execution, and its
-// virtual clock must match the stage-level evaluator.
+// virtual clock must equal the scheduler's and the stage-level evaluator's
+// bit for bit.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "cost/analytical_model.h"
 #include "models/examples.h"
@@ -50,10 +53,13 @@ void expect_outputs_match_reference(const ops::Model& model, const std::string& 
     }
   }
 
-  // Virtual clock equals the stage-level evaluator.
+  // Virtual clock equals the scheduler's and the stage-level evaluator's.
   const auto eval = sched::evaluate_schedule(pm.graph, result.schedule, *pm.cost);
   ASSERT_TRUE(eval.has_value());
-  EXPECT_NEAR(run.latency_ms, eval->latency_ms, 1e-9);
+  EXPECT_EQ(std::memcmp(&run.latency_ms, &eval->latency_ms, sizeof(double)), 0)
+      << run.latency_ms << " vs " << eval->latency_ms << " alg " << algorithm;
+  EXPECT_EQ(std::memcmp(&run.latency_ms, &result.latency_ms, sizeof(double)), 0)
+      << run.latency_ms << " vs " << result.latency_ms << " alg " << algorithm;
 }
 
 TEST(Engine, BranchyModelAllAlgorithmsTwoGpus) {

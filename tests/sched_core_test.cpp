@@ -295,11 +295,23 @@ std::optional<double> expect_improves_on_agrees(ScheduleState& state,
   return full;
 }
 
-TEST(SchedCore, ImprovesOnMatchesFullEvaluation) {
-  std::mt19937_64 rng(0x1A9A0);
-  int scored = 0, deadlocking = 0, better = 0, commits = 0;
-  for (int iter = 0; iter < 120; ++iter) {
-    const graph::Graph g = make_dag(rng);
+struct SweepCounts {
+  int scored = 0;       ///< pending merges scored against a full evaluation
+  int deadlocking = 0;  ///< of those, merges that close a cycle on a feasible state
+  int better = 0;       ///< of those, merges below the committed latency
+  int commits = 0;
+};
+
+/// For `iters` random DAGs (node weights set by `reweight`) and 1-4 GPUs:
+/// scores every independent window of 1-3 succeeding stages with
+/// improves_on() against the full evaluation, then commits a random window,
+/// four rounds per DAG.
+template <typename Reweight>
+SweepCounts improves_on_sweep(std::mt19937_64& rng, int iters, Reweight reweight) {
+  SweepCounts c;
+  for (int iter = 0; iter < iters; ++iter) {
+    graph::Graph g = make_dag(rng);
+    reweight(g, rng);
     const int m = 1 + static_cast<int>(rng() % 4);
     cost::TableCostModel cost;
     maybe_decorate(cost, m, rng);
@@ -314,7 +326,6 @@ TEST(SchedCore, ImprovesOnMatchesFullEvaluation) {
     std::optional<double> committed = state.evaluate_latency();
 
     for (int round = 0; round < 4; ++round) {
-      // Score every independent window of 1-3 succeeding stages.
       for (int gpu = 0; gpu < m; ++gpu) {
         for (int pos = 0; pos + 1 < state.stage_count(gpu); ++pos) {
           for (int extent = 1; extent <= 3 && pos + extent < state.stage_count(gpu); ++extent) {
@@ -322,10 +333,10 @@ TEST(SchedCore, ImprovesOnMatchesFullEvaluation) {
             state.apply_merge(gpu, pos, extent);
             const auto full = expect_improves_on_agrees(state, committed);
             state.undo_merge();
-            ++scored;
+            ++c.scored;
             if (committed.has_value()) {
-              deadlocking += !full.has_value();
-              better += full.has_value() && *full < *committed;
+              c.deadlocking += !full.has_value();
+              c.better += full.has_value() && *full < *committed;
             }
           }
         }
@@ -344,7 +355,7 @@ TEST(SchedCore, ImprovesOnMatchesFullEvaluation) {
         state.apply_merge(w->gpu, w->pos, w->extent);
       }
       state.commit_merge();
-      ++commits;
+      ++c.commits;
       committed = state.evaluate_latency();
 
       // The committed state equals a fresh load of what it extracts.
@@ -353,10 +364,32 @@ TEST(SchedCore, ImprovesOnMatchesFullEvaluation) {
       expect_eval_equal(fresh.evaluate(), state.evaluate());
     }
   }
-  EXPECT_GT(scored, 2000);
-  EXPECT_GT(deadlocking, 10);  // merges that close a cycle on a feasible state
-  EXPECT_GT(better, 200);
-  EXPECT_GT(commits, 200);
+  return c;
+}
+
+TEST(SchedCore, ImprovesOnMatchesFullEvaluation) {
+  std::mt19937_64 rng(0x1A9A0);
+  const SweepCounts c = improves_on_sweep(rng, 120, [](graph::Graph&, std::mt19937_64&) {});
+  EXPECT_GT(c.scored, 2000);
+  EXPECT_GT(c.deadlocking, 10);  // merges that close a cycle on a feasible state
+  EXPECT_GT(c.better, 200);
+  EXPECT_GT(c.commits, 200);
+}
+
+TEST(SchedCore, ImprovesOnMatchesFullEvaluationWhenRoundingAbsorbsMoves) {
+  // One op per DAG takes 2^53 ms, where doubles lie 2 apart: its stage, and
+  // every stage after it, adds millisecond times to 2^53-sized ones, so a
+  // move of such a stage's ready time often leaves its finish bits unchanged.
+  // The committed ready time must follow the move all the same, or a later
+  // push filter reads a stale value (the case that
+  // ImprovesOnTracksReadyTimesThatRoundingHides builds by hand).
+  std::mt19937_64 rng(0xB1AADE5);
+  const SweepCounts c = improves_on_sweep(rng, 120, [](graph::Graph& g, std::mt19937_64& r) {
+    g.set_node_weight(static_cast<graph::NodeId>(r() % g.num_nodes()), 0x1p53);
+  });
+  EXPECT_GT(c.scored, 2000);
+  EXPECT_GT(c.better, 20);
+  EXPECT_GT(c.commits, 200);
 }
 
 /// t(S) is the longest member's t(v): members overlap perfectly, so a

@@ -205,7 +205,7 @@ TEST(ServeReplay, HedgedTraceIsByteIdentical) {
   EXPECT_EQ(a.snapshot.probes_succeeded, 1);
   EXPECT_EQ(a.snapshot.pool_prewarm_builds, 14);
   EXPECT_EQ(fnv1a(kFnvOffset, a.metrics_json.data(), a.metrics_json.size()),
-            2624461566222588508ull);
+            989376703364754645ull);
 }
 
 }  // namespace

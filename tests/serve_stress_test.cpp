@@ -1,13 +1,12 @@
 // Stress/soak: 64 mixed-model requests arriving together, and a run_trace
 // soak with a GPU killed and probed back mid-trace. Pins the serving
 // layer's liveness contract:
-//   * the run terminates (no hang) without the engine watchdog ever firing,
+//   * the run terminates,
 //   * no response is lost or duplicated (every request id resolves once),
 //   * metrics conserve: submitted = admitted + rejected + breaker_rejected
 //     and admitted = completed + dropped + failed.
-// Runs under TSan in CI (label: stress), where run_trace's engine lanes,
-// the shared model registry and the engine's channel protocol all race
-// for real.
+// Runs under TSan in CI (label: stress), where run_trace's engine lanes
+// and the shared model registry race for real.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -51,8 +50,6 @@ TEST(ServeStress, SoakMixedModels) {
   opt.platform = cost::make_a40_server(2);
   opt.slots_per_gpu = 4;
   opt.queue_capacity = 64;
-  // Generous real-time watchdog: it must never fire, even on loaded CI.
-  opt.watchdog_ms = 120000.0;
   Server server(opt);
   server.register_model("branchy", branchy_model());
   server.register_model("squeezenet", small_squeezenet());
@@ -80,7 +77,6 @@ TEST(ServeStress, SoakMixedModels) {
                              << " completed=" << s.completed
                              << " dropped=" << s.dropped << " failed=" << s.failed;
   EXPECT_EQ(s.submitted, kRequests);
-  EXPECT_EQ(s.watchdog_fires, 0) << "engine watchdog fired: runtime wedged";
 }
 
 TEST(ServeStress, MidSoakGpuKillAndRecoveryConserves) {
@@ -142,7 +138,6 @@ TEST(ServeStress, MidSoakGpuKillAndRecoveryConserves) {
                              << " admitted=" << s.admitted
                              << " breaker_rejected=" << s.breaker_rejected;
   EXPECT_EQ(s.submitted, kRequests);
-  EXPECT_EQ(s.watchdog_fires, 0);
   EXPECT_GT(s.completed, 0);
 
   // The kill visibly bit and the health layer reacted to it.

@@ -334,17 +334,17 @@ TEST(Metrics, ConservationAndJson) {
   m.on_finished(finished(Verdict::kCompleted, 10.0, 1.0));
   m.on_finished(finished(Verdict::kCompleted, 20.0, 2.0));
   m.on_finished(finished(Verdict::kDropped));
-  m.on_finished(finished(Verdict::kFailed), /*watchdog_fired=*/true);
+  m.on_finished(finished(Verdict::kFailed));
   m.set_makespan(100.0);
   const Metrics::Snapshot s = m.snapshot();
   EXPECT_TRUE(s.conserved());
   EXPECT_EQ(s.completed, 2);
-  EXPECT_EQ(s.watchdog_fires, 1);
+  EXPECT_EQ(s.failed, 1);
   EXPECT_DOUBLE_EQ(s.latency.mean, 15.0);
   EXPECT_DOUBLE_EQ(s.throughput_rps(), 2 / 0.1);
   const std::string dump = m.to_json().dump();
   EXPECT_NE(dump.find("\"completed\":2"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("\"watchdog_fires\":1"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("\"failed\":1"), std::string::npos) << dump;
 
   Metrics unbalanced;
   unbalanced.on_submitted();
