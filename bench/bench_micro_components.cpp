@@ -28,11 +28,24 @@ void BM_PriorityIndicators(benchmark::State& state) {
 }
 BENCHMARK(BM_PriorityIndicators)->Arg(100)->Arg(400);
 
-void BM_Reachability(benchmark::State& state) {
-  const graph::Graph g = test_graph(static_cast<int>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(graph::reachability(g));
+// sched::check_schedule on a 4-GPU hios-lp schedule of a Fig. 14-shaped
+// DAG (22 layers per 512 ops, 2 deps per op, seed 7): the coverage pass,
+// one ScheduleState load, the intra-stage edge scan and the Kahn pass.
+void BM_CheckSchedule(benchmark::State& state) {
+  const int ops = static_cast<int>(state.range(0));
+  models::RandomDagParams p;
+  p.num_ops = ops;
+  p.num_layers = 22 * ops / 512;
+  p.num_deps = 2 * ops;
+  p.seed = 7;
+  const graph::Graph g = models::random_dag(p);
+  const cost::TableCostModel cost;
+  sched::SchedulerConfig config;
+  config.num_gpus = 4;
+  const auto r = sched::make_scheduler("hios-lp")->schedule(g, cost, config);
+  for (auto _ : state) benchmark::DoNotOptimize(sched::check_schedule(g, r.schedule));
 }
-BENCHMARK(BM_Reachability)->Arg(100)->Arg(400);
+BENCHMARK(BM_CheckSchedule)->Arg(512)->Arg(8192)->Unit(benchmark::kMillisecond);
 
 // Reference path: the one-shot extraction HIOS-LP no longer calls (it keeps
 // a graph::ValidPathFinder; see BM_Alg1Path).

@@ -31,23 +31,6 @@ std::optional<std::vector<NodeId>> topological_sort(const Graph& g) {
 
 bool is_dag(const Graph& g) { return topological_sort(g).has_value(); }
 
-std::vector<DynBitset> reachability(const Graph& g) {
-  const std::size_t n = g.num_nodes();
-  std::vector<DynBitset> reach(n, DynBitset(n));
-  auto order = topological_sort(g);
-  HIOS_CHECK(order.has_value(), "reachability: graph has a cycle");
-  // Traverse in reverse topological order: reach[v] = union of {w, reach[w]}.
-  for (auto it = order->rbegin(); it != order->rend(); ++it) {
-    const NodeId v = *it;
-    for (EdgeId e : g.out_edges(v)) {
-      const NodeId w = g.edge(e).dst;
-      reach[v].set(static_cast<std::size_t>(w));
-      reach[v] |= reach[w];
-    }
-  }
-  return reach;
-}
-
 std::vector<double> priority_indicators(const Graph& g) {
   const std::size_t n = g.num_nodes();
   std::vector<double> p(n, 0.0);

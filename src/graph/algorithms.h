@@ -1,12 +1,11 @@
 // Graph algorithms shared by the schedulers: topological sorting, cycle
-// detection, reachability, and the priority indicator of HIOS (§IV-A).
+// detection, and the priority indicator of HIOS (§IV-A).
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/bitset.h"
 
 namespace hios::graph {
 
@@ -15,16 +14,6 @@ std::optional<std::vector<NodeId>> topological_sort(const Graph& g);
 
 /// True when the graph is acyclic.
 bool is_dag(const Graph& g);
-
-/// reach[v] = bitset of nodes reachable from v via >= 1 edge (v excluded).
-/// O(V * E / 64). Recomputed by the schedulers after node merges.
-std::vector<DynBitset> reachability(const Graph& g);
-
-/// True when u and v are order-independent (neither reaches the other).
-inline bool independent(const std::vector<DynBitset>& reach, NodeId u, NodeId v) {
-  return u != v && !reach[static_cast<std::size_t>(u)].test(static_cast<std::size_t>(v)) &&
-         !reach[static_cast<std::size_t>(v)].test(static_cast<std::size_t>(u));
-}
 
 /// Priority indicator p(v) (§IV-A): length of the longest weighted path
 /// (node + edge weights) from v to any sink, including t(v) itself.

@@ -4,10 +4,7 @@
 #include <memory>
 #include <sstream>
 
-#include "cost/table_model.h"
-#include "graph/compiled_graph.h"
 #include "ops/kernels.h"
-#include "sched/core/schedule_state.h"
 #include "sched/validate.h"
 #include "util/rng.h"
 
@@ -47,7 +44,10 @@ ExecutionResult execute_schedule(const ops::Model& model, const graph::Graph& gr
                                  const cost::CostModel& cost,
                                  const std::map<ops::OpId, ops::Tensor>& inputs,
                                  const ExecOptions& options) {
-  sched::check_schedule(graph, schedule);
+  // A topological order of the stage DAG (data edges plus each vGPU's
+  // stage order), the one check_schedule proved acyclic: every stage runs
+  // after all it waits on. `cost` is asked only for the times the run uses.
+  const std::vector<sched::StageRef> order = sched::check_schedule(graph, schedule);
   const std::size_t n = graph.num_nodes();
   const std::vector<int> gpu_of = schedule.gpu_assignment(n);
   const fault::FaultPlan* plan = options.faults;
@@ -91,16 +91,6 @@ ExecutionResult execute_schedule(const ops::Model& model, const graph::Graph& gr
         it != inputs.end() ? it->second : make_input_tensor(model, in));
   }
 
-  // A topological order of the stage DAG (data edges plus each vGPU's
-  // stage order; acyclic, as check_schedule proved): every stage runs after
-  // all it waits on. Only the order is read, so a unit-cost probe stands in
-  // for `cost`, which is asked only for the times the run uses.
-  const graph::CompiledGraph compiled(graph);
-  const cost::TableCostModel probe;
-  sched::ScheduleState order(compiled, probe);
-  order.load(schedule);
-  (void)order.evaluate_latency();
-
   struct Vgpu {
     double clock = 0.0;     ///< finish of its last executed stage
     bool stopped = false;   ///< fail-stopped or blocked: runs no further stage
@@ -119,11 +109,9 @@ ExecutionResult execute_schedule(const ops::Model& model, const graph::Graph& gr
   result.node_finish_ms.assign(n, -1.0);
   result.timeline.num_gpus = schedule.num_gpus;
 
-  for (const int sid : order.stage_order()) {
-    const int me = order.gpu_of_stage(sid);
+  for (const auto [me, si] : order) {
     Vgpu& gpu = vgpus[static_cast<std::size_t>(me)];
     if (gpu.stopped) continue;
-    const int si = order.position_of(sid);
     const sched::Stage& stage =
         schedule.gpus[static_cast<std::size_t>(me)][static_cast<std::size_t>(si)];
 

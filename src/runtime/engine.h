@@ -8,9 +8,9 @@
 // transfer time), and lasts t(S) under the same cost model the scheduler
 // optimised against. That makes the clock a pure function of the schedule,
 // so the stages run in one topological order of the stage DAG — the order
-// sched::ScheduleState gives — and the result equals the stage-level
-// evaluator's, while the tensors prove the schedule computes exactly what
-// sequential execution computes.
+// sched::check_schedule returns from its one timing-core load — and the
+// result equals the stage-level evaluator's, while the tensors prove the
+// schedule computes exactly what sequential execution computes.
 //
 // Fault injection (fault::FaultPlan) drives fail-stop / straggler / link
 // faults deterministically in virtual time. A cross-GPU tensor is either

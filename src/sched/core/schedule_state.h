@@ -3,7 +3,7 @@
 // The old parallelize() scored every merge candidate by deep-copying the
 // whole Schedule, re-flattening it, re-deriving node -> stage indices,
 // re-deduplicating the stage dependency DAG and re-querying every t(S);
-// locating an op was an O(V * S) scan and the stage reachability matrix was
+// locating an op was an O(V * S) scan and the stage-to-stage path matrix was
 // rebuilt from scratch (O(E * S) with Graph::find_edge scans) after every
 // accepted merge. ScheduleState keeps all of that as live, incrementally
 // maintained state:

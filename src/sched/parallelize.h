@@ -14,8 +14,8 @@
 //  * Windows advance over *stages*: once ops are grouped the group acts as
 //    one unit, and a window never splits an existing group. The total op
 //    count of a candidate stage is capped at `w`.
-//  * Independence is exact data-edge reachability on the current merged
-//    graph, which subsumes the paper's cycle test (merging pairwise
+//  * Independence is exact: no data-edge path joins the two stages on the
+//    current merged graph, which subsumes the paper's cycle test (merging pairwise
 //    order-independent nodes cannot create a cycle); the evaluator still
 //    guards against execution-order deadlocks.
 //

@@ -19,19 +19,6 @@ std::vector<int> Schedule::gpu_assignment(std::size_t num_nodes) const {
   return gpu_of;
 }
 
-std::vector<int> Schedule::stage_index(std::size_t num_nodes) const {
-  std::vector<int> idx(num_nodes, -1);
-  for (const auto& gpu : gpus) {
-    for (std::size_t s = 0; s < gpu.size(); ++s) {
-      for (graph::NodeId v : gpu[s].ops) {
-        HIOS_CHECK(static_cast<std::size_t>(v) < num_nodes, "schedule references node " << v);
-        idx[static_cast<std::size_t>(v)] = static_cast<int>(s);
-      }
-    }
-  }
-  return idx;
-}
-
 std::size_t Schedule::num_ops() const {
   std::size_t count = 0;
   for (const auto& gpu : gpus)

@@ -30,9 +30,6 @@ struct Schedule {
   /// gpu_of[v] = GPU index of node v, or -1 when v is not in the schedule.
   std::vector<int> gpu_assignment(std::size_t num_nodes) const;
 
-  /// stage_of[v] = index of v's stage on its GPU, or -1.
-  std::vector<int> stage_index(std::size_t num_nodes) const;
-
   /// Total number of scheduled operators.
   std::size_t num_ops() const;
 

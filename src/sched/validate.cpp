@@ -2,13 +2,18 @@
 
 #include <sstream>
 
-#include "graph/algorithms.h"
-#include "sched/evaluate.h"
 #include "cost/table_model.h"
+#include "graph/compiled_graph.h"
+#include "sched/core/schedule_state.h"
 
 namespace hios::sched {
 
-std::vector<std::string> validate_schedule(const graph::Graph& g, const Schedule& schedule) {
+namespace {
+
+/// Every check of validate_schedule; on a valid schedule `order` (when
+/// given) receives the timing core's topological stage order.
+std::vector<std::string> validate(const graph::Graph& g, const Schedule& schedule,
+                                  std::vector<StageRef>* order) {
   std::vector<std::string> violations;
   const std::size_t n = g.num_nodes();
   auto complain = [&](const std::string& what) { violations.push_back(what); };
@@ -52,36 +57,43 @@ std::vector<std::string> validate_schedule(const graph::Graph& g, const Schedule
   }
   if (!violations.empty()) return violations;  // later checks need coverage
 
-  // 2. stage independence (full dependency-path check, not just direct edges).
-  const auto reach = graph::reachability(g);
-  for (std::size_t i = 0; i < schedule.gpus.size(); ++i) {
-    for (std::size_t s = 0; s < schedule.gpus[i].size(); ++s) {
-      const auto& ops = schedule.gpus[i][s].ops;
-      for (std::size_t a = 0; a < ops.size(); ++a) {
-        for (std::size_t b = a + 1; b < ops.size(); ++b) {
-          if (!graph::independent(reach, ops[a], ops[b])) {
-            std::ostringstream os;
-            os << "stage " << s << " on GPU " << i << " groups dependent ops "
-               << g.node_name(ops[a]) << " and " << g.node_name(ops[b]);
-            complain(os.str());
-          }
-        }
-      }
-    }
+  // 2 + 3 on one load of the timing core (see validate.h). Any cost model
+  // orders the stages; the table model stands in for the real one.
+  const graph::CompiledGraph cg(g);
+  const cost::TableCostModel probe;
+  ScheduleState state(cg, probe);
+  state.load(schedule);
+  for (graph::EdgeId e = 0; e < static_cast<graph::EdgeId>(g.num_edges()); ++e) {
+    const graph::Edge& edge = g.edge(e);
+    const int sid = state.stage_of(edge.src);
+    if (sid != state.stage_of(edge.dst)) continue;
+    std::ostringstream os;
+    os << "stage " << state.position_of(sid) << " on GPU " << state.gpu_of_stage(sid)
+       << " groups dependent ops " << g.node_name(edge.src) << " and "
+       << g.node_name(edge.dst);
+    complain(os.str());
   }
-
-  // 3. deadlock-freedom: the evaluator's Kahn pass must cover every stage.
-  // Any cost model works for feasibility; use the table model.
-  cost::TableCostModel probe;
-  if (!evaluate_schedule(g, schedule, probe).has_value()) {
+  if (!state.evaluate_latency().has_value()) {
     complain("stage graph has a cycle (schedule deadlocks)");
+  }
+  if (violations.empty() && order != nullptr) {
+    order->reserve(state.stage_order().size());
+    for (const int sid : state.stage_order())
+      order->push_back(StageRef{state.gpu_of_stage(sid), state.position_of(sid)});
   }
   return violations;
 }
 
-void check_schedule(const graph::Graph& g, const Schedule& schedule) {
-  const auto violations = validate_schedule(g, schedule);
-  if (violations.empty()) return;
+}  // namespace
+
+std::vector<std::string> validate_schedule(const graph::Graph& g, const Schedule& schedule) {
+  return validate(g, schedule, nullptr);
+}
+
+std::vector<StageRef> check_schedule(const graph::Graph& g, const Schedule& schedule) {
+  std::vector<StageRef> order;
+  const auto violations = validate(g, schedule, &order);
+  if (violations.empty()) return order;
   std::ostringstream os;
   os << "invalid schedule for graph '" << g.name() << "':";
   for (const auto& v : violations) os << "\n  - " << v;

@@ -1,8 +1,8 @@
 // Dynamic bitset sized at runtime.
 //
-// Used for reachability matrices and IOS down-set states where graphs have
-// a few hundred vertices — std::bitset is fixed-size, std::vector<bool> is
-// slow for word-wise set algebra.
+// Used for Alg. 1's open-vertex mask and IOS down-set states where graphs
+// have a few hundred vertices — std::bitset is fixed-size,
+// std::vector<bool> is slow for word-wise set algebra.
 #pragma once
 
 #include <algorithm>

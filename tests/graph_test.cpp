@@ -5,6 +5,7 @@
 #include "graph/dot.h"
 #include "graph/graph.h"
 #include "models/examples.h"
+#include "oracles/oracles.h"
 
 namespace hios::graph {
 namespace {
@@ -111,7 +112,7 @@ TEST(Algorithms, EmptyGraphTopoSort) {
 
 TEST(Algorithms, Reachability) {
   Graph g = diamond();
-  auto reach = reachability(g);
+  auto reach = oracle::reachability(g);
   EXPECT_TRUE(reach[0].test(1));
   EXPECT_TRUE(reach[0].test(2));
   EXPECT_TRUE(reach[0].test(3));
@@ -119,9 +120,9 @@ TEST(Algorithms, Reachability) {
   EXPECT_TRUE(reach[1].test(3));
   EXPECT_FALSE(reach[1].test(2));
   EXPECT_TRUE(reach[3].none());
-  EXPECT_TRUE(independent(reach, 1, 2));
-  EXPECT_FALSE(independent(reach, 0, 3));
-  EXPECT_FALSE(independent(reach, 2, 2));
+  EXPECT_TRUE(oracle::independent(reach, 1, 2));
+  EXPECT_FALSE(oracle::independent(reach, 0, 3));
+  EXPECT_FALSE(oracle::independent(reach, 2, 2));
 }
 
 TEST(Algorithms, PriorityIndicators) {

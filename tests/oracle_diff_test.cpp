@@ -169,14 +169,14 @@ SimCase random_sim_case(std::mt19937_64& rng, int iter) {
 
   // Nodes in topological order go to random GPUs; an op often joins the
   // GPU's last stage when it is independent of every op there.
-  const auto reach = graph::reachability(c.g);
+  const auto reach = oracle::reachability(c.g);
   const auto topo = graph::topological_sort(c.g);
   for (graph::NodeId v : *topo) {
     auto& stages = c.schedule.gpus[rng() % static_cast<uint64_t>(m)];
     bool grouped = false;
     if (!stages.empty() && stages.back().ops.size() < 4 && rng() % 5 < 2) {
       grouped = true;
-      for (graph::NodeId u : stages.back().ops) grouped = grouped && graph::independent(reach, u, v);
+      for (graph::NodeId u : stages.back().ops) grouped = grouped && oracle::independent(reach, u, v);
     }
     if (grouped) {
       stages.back().ops.push_back(v);

@@ -23,10 +23,15 @@
 //   * simulate_stages_faulty: a fault-aware discrete-event replay of a
 //     schedule under a fault::FaultPlan, the oracle the vGPU engine's
 //     faulty runs must match bit for bit.
+//   * reachability / validate_schedule: the node reachability closure and
+//     the pairwise stage-independence check built on it, which
+//     sched::validate_schedule replaced with an edge scan and the timing
+//     core's cycle check.
 // None of this is linked into src/; it exists for tests only.
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -38,6 +43,7 @@
 #include "sched/schedule.h"
 #include "sim/pipeline_sim.h"
 #include "sim/timeline.h"
+#include "util/bitset.h"
 
 namespace hios::oracle {
 
@@ -112,6 +118,23 @@ double optimal_single_gpu_latency(const graph::Graph& g, const cost::CostModel& 
 /// nodes (the search is M^n times products of permutations).
 double optimal_inter_gpu_latency(const graph::Graph& g, const cost::CostModel& cost,
                                  int num_gpus);
+
+/// reach[v] = bitset of nodes reachable from v via >= 1 edge (v excluded).
+/// O(V * E / 64). Throws when `g` has a cycle.
+std::vector<DynBitset> reachability(const graph::Graph& g);
+
+/// True when u and v are order-independent (neither reaches the other).
+inline bool independent(const std::vector<DynBitset>& reach, graph::NodeId u, graph::NodeId v) {
+  return u != v && !reach[static_cast<std::size_t>(u)].test(static_cast<std::size_t>(v)) &&
+         !reach[static_cast<std::size_t>(v)].test(static_cast<std::size_t>(u));
+}
+
+/// sched::validate_schedule's verdict from the pairwise definition: every
+/// pair of ops in a stage is tested against the reachability closure ("groups
+/// dependent ops", transitive paths included), and deadlock freedom is the
+/// from-scratch evaluator's. Throws when `g` has a cycle.
+std::vector<std::string> validate_schedule(const graph::Graph& g,
+                                           const sched::Schedule& schedule);
 
 /// Outcome of one simulated faulty run.
 struct FaultyRun {

@@ -158,7 +158,7 @@ std::vector<DynBitset> stage_reach(const graph::Graph& g, const Schedule& s,
     const int b = stage_of[static_cast<std::size_t>(e.dst)];
     if (a != b && condensed.find_edge(a, b) < 0) condensed.add_edge(a, b);
   }
-  return graph::reachability(condensed);
+  return oracle::reachability(condensed);
 }
 
 /// Merges the stages at [pos, pos + extent] on `gpu` into the one at pos.

@@ -62,7 +62,7 @@ Schedule random_schedule(const graph::Graph& g, const std::vector<DynBitset>& re
     auto& stages = s.gpus[rng() % static_cast<uint64_t>(m)];
     if (!stages.empty() && stages.back().ops.size() < 4 && coin(rng) < opts.group_prob) {
       bool ok = true;
-      for (graph::NodeId u : stages.back().ops) ok = ok && graph::independent(reach, u, v);
+      for (graph::NodeId u : stages.back().ops) ok = ok && oracle::independent(reach, u, v);
       if (ok) {
         stages.back().ops.push_back(v);
         continue;
@@ -119,7 +119,7 @@ TEST(SchedCore, EvaluateMatchesReferenceExactly) {
     const int m = 1 + static_cast<int>(rng() % 4);
     cost::TableCostModel cost;
     maybe_decorate(cost, m, rng);
-    const auto reach = graph::reachability(g);
+    const auto reach = oracle::reachability(g);
     const Schedule s = random_schedule(g, reach, m, rng, {});
 
     const graph::CompiledGraph cg(g);
@@ -136,7 +136,7 @@ TEST(SchedCore, DeadlockParityOnPermutedOrders) {
     const graph::Graph g = make_dag(rng);
     const int m = 1 + static_cast<int>(rng() % 4);
     const cost::TableCostModel cost;
-    const auto reach = graph::reachability(g);
+    const auto reach = oracle::reachability(g);
     ScheduleOpts opts;
     opts.shuffle = true;
     const Schedule s = random_schedule(g, reach, m, rng, opts);
@@ -160,7 +160,7 @@ TEST(SchedCore, PartialSchedulesMatchPartialEvaluator) {
     const int m = 1 + static_cast<int>(rng() % 4);
     cost::TableCostModel cost;
     maybe_decorate(cost, m, rng);
-    const auto reach = graph::reachability(g);
+    const auto reach = oracle::reachability(g);
     ScheduleOpts opts;
     opts.drop_prob = 0.3;
     const Schedule s = random_schedule(g, reach, m, rng, opts);
@@ -223,7 +223,7 @@ TEST(SchedCore, MergeApplyEvaluateUndoMatchesDeepCopy) {
     const int m = 1 + static_cast<int>(rng() % 3);
     cost::TableCostModel cost;
     maybe_decorate(cost, m, rng);
-    const auto reach = graph::reachability(g);
+    const auto reach = oracle::reachability(g);
     ScheduleOpts opts;
     // Every other DAG gets grouped stages; stages in topological order on
     // each GPU stay feasible either way.
@@ -315,7 +315,7 @@ SweepCounts improves_on_sweep(std::mt19937_64& rng, int iters, Reweight reweight
     const int m = 1 + static_cast<int>(rng() % 4);
     cost::TableCostModel cost;
     maybe_decorate(cost, m, rng);
-    const auto reach = graph::reachability(g);
+    const auto reach = oracle::reachability(g);
     ScheduleOpts opts;
     opts.shuffle = iter % 2 == 1;  // DeadlockParityOnPermutedOrders' orders
     const Schedule s = random_schedule(g, reach, m, rng, opts);
@@ -456,7 +456,7 @@ TEST(SchedCore, CommittedReachMatchesFreshRebuild) {
     const graph::Graph g = make_dag(rng);
     const int m = 1 + static_cast<int>(rng() % 3);
     const cost::TableCostModel cost;
-    const auto reach = graph::reachability(g);
+    const auto reach = oracle::reachability(g);
     const Schedule s = random_schedule(g, reach, m, rng, {});
 
     const graph::CompiledGraph cg(g);
@@ -523,7 +523,7 @@ std::optional<std::vector<DynBitset>> condensed_reach(const graph::Graph& g, con
     if (a >= 0 && b >= 0 && a != b && condensed.find_edge(a, b) < 0) condensed.add_edge(a, b);
   }
   if (!graph::is_dag(condensed)) return std::nullopt;
-  return graph::reachability(condensed);
+  return oracle::reachability(condensed);
 }
 
 /// Checks stages_independent() on every alive stage pair against
@@ -537,7 +537,7 @@ int expect_independence_matches_oracle(const graph::Graph& g, const ScheduleStat
   for (std::size_t i = 0; i < ids.size(); ++i) {
     for (std::size_t j = 0; j < ids.size(); ++j) {
       const bool want =
-          reach.has_value() && graph::independent(*reach, static_cast<graph::NodeId>(i),
+          reach.has_value() && oracle::independent(*reach, static_cast<graph::NodeId>(i),
                                                   static_cast<graph::NodeId>(j));
       EXPECT_EQ(state.stages_independent(ids[i], ids[j]), want) << "stages " << i << ", " << j;
       ++pairs;
@@ -553,7 +553,7 @@ TEST(SchedCore, StagesIndependentMatchesCondensedReachability) {
     const graph::Graph g = make_dag(rng);
     const int m = 1 + static_cast<int>(rng() % 4);
     const cost::TableCostModel cost;
-    const auto reach = graph::reachability(g);
+    const auto reach = oracle::reachability(g);
     // Feasible, permuted-order (often chain-deadlocked), and heavily grouped
     // loads; grouping across GPUs can make the stage data graph cyclic.
     ScheduleOpts opts;

@@ -1,8 +1,15 @@
 // Tests for the Schedule data model, JSON round trip, and validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "cost/table_model.h"
 #include "models/examples.h"
+#include "models/random_dag.h"
+#include "oracles/oracles.h"
 #include "sched/schedule.h"
+#include "sched/scheduler.h"
 #include "sched/validate.h"
 
 namespace hios::sched {
@@ -22,11 +29,6 @@ TEST(Schedule, AssignmentMaps) {
   const Schedule s = two_gpu_example();
   const auto gpu_of = s.gpu_assignment(4);
   EXPECT_EQ(gpu_of, (std::vector<int>{0, 0, 0, 1}));
-  const auto stage_of = s.stage_index(4);
-  EXPECT_EQ(stage_of[0], 0);
-  EXPECT_EQ(stage_of[2], 1);
-  EXPECT_EQ(stage_of[1], 2);
-  EXPECT_EQ(stage_of[3], 0);
   EXPECT_EQ(s.num_ops(), 4u);
   EXPECT_EQ(s.num_gpus_used(), 2);
 }
@@ -179,6 +181,105 @@ TEST(Validate, RejectsNonPositiveGpuCount) {
   const graph::Graph g = models::make_chain(1);
   Schedule s;
   EXPECT_FALSE(validate_schedule(g, s).empty());
+}
+
+/// One random edit of `s` that keeps every op in exactly one non-empty
+/// stage: merge two stages of one GPU, move an op to another stage (of any
+/// GPU), or swap two stages of one GPU.
+void mutate(Schedule& s, std::mt19937_64& rng) {
+  const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  auto& stages = s.gpus[pick(s.gpus.size())];
+  if (stages.size() < 2) return;
+  const std::size_t a = pick(stages.size());
+  std::size_t b = pick(stages.size() - 1);
+  if (b >= a) ++b;
+  switch (rng() % 3) {
+    case 0: {  // merge b into a
+      auto& into = stages[a].ops;
+      into.insert(into.end(), stages[b].ops.begin(), stages[b].ops.end());
+      stages.erase(stages.begin() + static_cast<std::ptrdiff_t>(b));
+      break;
+    }
+    case 1: {  // move one op of a into a random stage of a random GPU
+      auto& from = stages[a].ops;
+      const std::size_t k = pick(from.size());
+      const graph::NodeId v = from[k];
+      from.erase(from.begin() + static_cast<std::ptrdiff_t>(k));
+      if (from.empty()) stages.erase(stages.begin() + static_cast<std::ptrdiff_t>(a));
+      auto& to = s.gpus[pick(s.gpus.size())];
+      if (to.empty()) {
+        to.push_back(Stage{{v}});
+      } else {
+        to[pick(to.size())].ops.push_back(v);
+      }
+      break;
+    }
+    default:
+      std::swap(stages[a], stages[b]);
+  }
+}
+
+TEST(Validate, MatchesReachabilityOracle) {
+  // validate_schedule checks stage independence by direct intra-stage
+  // edges plus the timing core's cycle check; the oracle checks every pair
+  // of a stage against the full reachability closure. The verdicts must
+  // agree, including on transitive-only schedules, where a stage groups two
+  // ops joined only through another stage: that is a stage-graph cycle.
+  const cost::TableCostModel cost;
+  std::mt19937_64 rng(26);
+  int cases = 0, invalid = 0, transitive_only = 0;
+  for (int iter = 0; iter < 48; ++iter) {
+    models::RandomDagParams p;
+    p.num_ops = 10 + 4 * (iter % 6);
+    p.num_layers = 3 + iter % 4;
+    p.num_deps = 2 * p.num_ops;
+    p.seed = static_cast<uint64_t>(100 + iter);
+    const graph::Graph g = models::random_dag(p);
+    SchedulerConfig config;
+    config.num_gpus = 1 + iter % 4;
+    for (const char* alg : {"hios-lp", "hios-mr", "sequential", "inter-lp"}) {
+      const Schedule base = make_scheduler(alg)->schedule(g, cost, config).schedule;
+      for (int m = 0; m < 12; ++m) {
+        Schedule s = base;
+        mutate(s, rng);
+        const auto got = validate_schedule(g, s);
+        const auto want = oracle::validate_schedule(g, s);
+        ++cases;
+        invalid += got.empty() ? 0 : 1;
+        ASSERT_EQ(got.empty(), want.empty()) << alg << " iter " << iter << " mutation " << m;
+
+        // Every direct intra-stage edge is named; a dependent pair with no
+        // such edge is a transitive-only case.
+        bool direct = false;
+        for (const graph::Edge& e : g.edges()) {
+          for (std::size_t gpu = 0; gpu < s.gpus.size(); ++gpu) {
+            for (std::size_t pos = 0; pos < s.gpus[gpu].size(); ++pos) {
+              const auto& ops = s.gpus[gpu][pos].ops;
+              if (std::find(ops.begin(), ops.end(), e.src) == ops.end() ||
+                  std::find(ops.begin(), ops.end(), e.dst) == ops.end())
+                continue;
+              direct = true;
+              const std::string named = "stage " + std::to_string(pos) + " on GPU " +
+                                        std::to_string(gpu) + " groups dependent ops " +
+                                        g.node_name(e.src) + " and " + g.node_name(e.dst);
+              EXPECT_TRUE(std::find(got.begin(), got.end(), named) != got.end()) << named;
+            }
+          }
+        }
+        const bool grouped_dependent = std::any_of(want.begin(), want.end(), [](const auto& v) {
+          return v.find("groups dependent ops") != std::string::npos;
+        });
+        if (grouped_dependent && !direct) {
+          ++transitive_only;
+          EXPECT_NE(got.back().find("cycle"), std::string::npos) << got.back();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 48 * 4 * 12);
+  EXPECT_GT(invalid, cases / 4);
+  EXPECT_LT(invalid, cases * 3 / 4);
+  EXPECT_GT(transitive_only, 0);
 }
 
 }  // namespace
